@@ -13,11 +13,11 @@ from .errors import (CapacityError, IntegrityError, PreconditionError,
 from .generators import sp_order, standard_generators, transvection
 from .group import (FiniteGroup, Partition, class_count, generate_group,
                     ordinary_classes, restrict_to, twisted_classes)
-from .kernels import BACKEND as KERNEL_BACKEND
 from .modring import (ModMatrix, Modulus, TorusElement, canonical_key, det,
                       from_canonical_key, is_symplectic, mat_inverse, mat_mul)
 
 __version__ = "0.1.0"
+KERNEL_BACKEND = "numpy"  # the one kernel path; recorded with benchmark runs
 
 __all__ = [
     "Automorphism", "CapacityError", "Certificate", "Character", "FiniteGroup",

@@ -113,18 +113,13 @@ def sign_flip(g: FiniteGroup) -> Automorphism:
     """Entrywise multiplication by (-1)^(i+j); conjugation by diag(1,-1,1,-1,...)."""
     d = g.dim
     signs = np.fromfunction(lambda i, j: 1 - 2 * ((i + j) % 2), (d, d), dtype=np.int64)
-    images = (g.elements * signs.astype(np.int64)) % g.m
-    perm = np.empty(g.order, dtype=np.int64)
-    for i in range(g.order):
-        key = np.ascontiguousarray(images[i]).tobytes()
-        hit = g._raw_index.get(key)
-        if hit is None:
-            raise IntegrityError(
-                f"sign-flip image of element {i} is not in the group "
-                "(group not normalized by diag(1,-1,...))")
-        perm[i] = hit
-    auto = Automorphism(g, perm, {"kind": "sign_flip"})
-    return auto
+    perm = g.ids_of((g.elements * signs) % g.m)
+    bad = np.flatnonzero(perm < 0)
+    if len(bad):
+        raise IntegrityError(
+            f"sign-flip image of element {bad[0]} is not in the group "
+            "(group not normalized by diag(1,-1,...))")
+    return Automorphism(g, perm, {"kind": "sign_flip"})
 
 
 def inner(g: FiniteGroup, u: ModMatrix) -> Automorphism:
@@ -132,11 +127,11 @@ def inner(g: FiniteGroup, u: ModMatrix) -> Automorphism:
     if u.dim != g.dim or u.m != g.m:
         raise StructuralError("conjugator has wrong dimension or modulus")
     uinv = mat_inverse(u)
-    for s in g.generators:
-        conj = (u.entries @ g.elements[s] @ uinv.entries) % g.m
-        if np.ascontiguousarray(conj).tobytes() not in g._raw_index:
-            raise IntegrityError(
-                f"conjugate of generator {s} escapes the group: u does not normalize it")
+    gens = g.elements[g.generators]
+    escaped = np.flatnonzero(g.ids_of((u.entries @ gens % g.m) @ uinv.entries % g.m) < 0)
+    if len(escaped):
+        raise IntegrityError(f"conjugate of generator {g.generators[escaped[0]]} escapes "
+                             "the group: u does not normalize it")
     perm = g.action_table(u.entries, uinv.entries)
     desc = {"kind": "inner", "conjugator": [int(x) for x in u.entries.ravel()]}
     return Automorphism(g, perm, desc)

@@ -21,7 +21,7 @@ from .errors import CapacityError, PreconditionError, StructuralError
 from .generators import sp_order, standard_generators
 from .group import (DEFAULT_CAP, FiniteGroup, Partition, class_count,
                     generate_group, twisted_classes)
-from .modring import ModMatrix, Modulus, TorusElement, _is_prime
+from .modring import Modulus, TorusElement, _is_prime
 
 PASS = "pass"
 FAIL = "fail"
@@ -248,14 +248,11 @@ def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism,
         raise StructuralError(f"target modulus {q.m} does not divide {g.m}")
     if g.dim != q.dim:
         raise StructuralError("dimension mismatch between group and quotient")
-    proj = np.empty(g.order, dtype=np.int64)
-    for i in range(g.order):
-        reduced = ModMatrix(g.elements[i] % q.m, q.modulus)
-        try:
-            proj[i] = q.id_of(reduced)
-        except StructuralError:
-            raise StructuralError(
-                f"reduction of element {i} is not in the target group") from None
+    proj = q.ids_of(g.elements % q.m)
+    outside = np.flatnonzero(proj < 0)
+    if len(outside):
+        raise StructuralError(
+            f"reduction of element {outside[0]} is not in the target group")
     if len(set(int(x) for x in proj)) != q.order:
         raise StructuralError("reduction does not map onto the target group")
     # induced automorphism on the quotient, from proj o phi = phi_bar o proj
@@ -358,6 +355,8 @@ def growth_scan(primes, n=1, cap=DEFAULT_CAP) -> Certificate:
     certificate retaining the completed rows.
     """
     primes = [int(p) for p in primes]
+    if not primes:
+        raise PreconditionError("growth scan needs at least one prime")
     if primes != sorted(primes) or len(set(primes)) != len(primes):
         raise PreconditionError("primes must be strictly ascending")
     for p in primes:

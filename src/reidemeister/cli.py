@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 from . import certify
 from .automorphisms import parse_descriptor, sign_flip
-from .errors import CapacityError, IntegrityError, StructuralError
+from .errors import CapacityError, IntegrityError, PreconditionError, StructuralError
 from .generators import sp_order, standard_generators
 from .group import DEFAULT_CAP, class_count, generate_group, ordinary_classes, twisted_classes
 from .modring import canonical_key
@@ -184,13 +184,19 @@ def run(args) -> int:
     if args.command == "certify-prop32":
         cert = certify.prop32_certificate(args.p, cap=args.cap)
     elif args.command == "certify-growth":
-        primes = [int(x) for x in args.primes.split(",") if x.strip()]
+        try:
+            primes = [int(x) for x in args.primes.split(",") if x.strip()]
+        except ValueError:
+            raise PreconditionError(f"--primes must be comma-separated integers, "
+                                    f"got {args.primes!r}") from None
         cert = certify.growth_scan(primes, n=args.n, cap=args.cap)
     elif args.command == "oracle-semidirect":
         g = _sp_group(args)
         phi = parse_descriptor(g, args.aut)
         cert = certify.semidirect_oracle(g, phi, cap=args.cap)
     elif args.command == "oracle-shift":
+        if args.trials < 1:
+            raise PreconditionError(f"--trials must be >= 1, got {args.trials}")
         g = _sp_group(args)
         phi = parse_descriptor(g, args.aut)
         rng = random.Random(args.seed)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import IntegrityError, StructuralError
-from .modring import ModMatrix, Modulus, canonical_key, is_symplectic, mat_inverse
+from .modring import (ModMatrix, entry_dtype, is_symplectic, mat_inverse,
+                      symplectic_form)
 
 DEFAULT_CAP = 10**7
 
@@ -52,25 +53,18 @@ class FiniteGroup:
     the ids of the inverse-augmented generating set actually used for BFS.
     """
 
-    def __init__(self, elements, parents, parent_gens, gen_matrices, gen_source,
+    def __init__(self, elements, parents, parent_gens, index, gen_matrices, gen_source,
                  modulus, symplectic):
         self.elements = elements  # (G, d, d) int64
         self.parents = parents
         self.parent_gens = parent_gens
+        self._index = index  # raw element bytes -> id, filled by kernels.closure
         self.gen_matrices = gen_matrices  # (k, d, d), inverse-augmented
         self.gen_source = gen_source  # aug index -> index into the user's list
         self.modulus = modulus
         self.symplectic = symplectic
         self.identity = 0
-        self._raw_index = {elements[i].tobytes(): i for i in range(len(elements))}
-        self.key_index = {}
-        self._keys = []
-        for i in range(len(elements)):
-            k = canonical_key(self.element(i))
-            self._keys.append(k)
-            self.key_index[k] = i
-        self.generators = [self._raw_index[np.ascontiguousarray(g).tobytes()]
-                           for g in gen_matrices]
+        self.generators = self.ids_of(gen_matrices).tolist()
         self._inverse_ids = {}
         self._left_tables = {}
         self._negation = None
@@ -91,27 +85,28 @@ class FiniteGroup:
     def element(self, i: int) -> ModMatrix:
         return ModMatrix(self.elements[i], self.modulus)
 
-    def key_of(self, i: int) -> bytes:
-        return self._keys[i]
-
     def id_of(self, mat: ModMatrix) -> int:
         try:
-            return self._raw_index[mat.entries.tobytes()]
+            return self._index[mat.entries.tobytes()]
         except KeyError:
             raise StructuralError("matrix is not an element of this group") from None
 
     def contains(self, mat: ModMatrix) -> bool:
-        return mat.entries.tobytes() in self._raw_index
+        return mat.entries.tobytes() in self._index
+
+    def ids_of(self, mats) -> np.ndarray:
+        """ids of a (n, d, d) stack of matrices; -1 where one is not an element."""
+        return kernels.lookup(mats, self._index)
 
     def mul_ids(self, i: int, j: int) -> int:
         prod = (self.elements[i] @ self.elements[j]) % self.m
-        return self._raw_index[np.ascontiguousarray(prod).tobytes()]
+        return self._index[np.ascontiguousarray(prod).tobytes()]
 
     def inverse_id(self, i: int) -> int:
         hit = self._inverse_ids.get(i)
         if hit is None:
             inv = mat_inverse(self.element(i))
-            hit = self._raw_index[inv.entries.tobytes()]
+            hit = self._index[inv.entries.tobytes()]
             self._inverse_ids[i] = hit
             self._inverse_ids[hit] = i
         return hit
@@ -121,13 +116,7 @@ class FiniteGroup:
         key = (np.ascontiguousarray(left).tobytes(), np.ascontiguousarray(right).tobytes())
         hit = self._left_tables.get(key)
         if hit is None:
-            try:
-                hit = kernels.action_table(self.elements, left, right, self.m,
-                                           self._raw_index)
-            except KeyError as e:
-                bad = int(e.args[0])
-                raise IntegrityError(
-                    f"action image of element {bad} is not in the group") from None
+            hit = kernels.action_table(self.elements, left, right, self.m, self._index)
             self._left_tables[key] = hit
         return hit
 
@@ -140,10 +129,16 @@ class FiniteGroup:
         return self._negation
 
     def lex_order(self) -> np.ndarray:
-        """Element ids sorted by canonical_key (ascending)."""
+        """Element ids sorted by canonical_key (ascending).
+
+        All keys share their header, so they sort as their bodies do: the
+        entries at canonical width, little-endian, compared bytewise.
+        """
         if self._lex_order is None:
-            self._lex_order = np.array(
-                sorted(range(self.order), key=self._keys.__getitem__), dtype=np.int64)
+            body = self.elements.reshape(self.order, -1).astype(entry_dtype(self.m))
+            self._lex_order = np.argsort(
+                body.view(np.dtype((np.void, body.itemsize * body.shape[1]))).ravel(),
+                kind="stable")
         return self._lex_order
 
     def verify_closure(self, exhaustive_limit=2000, samples=10**5, seed=0):
@@ -151,14 +146,18 @@ class FiniteGroup:
         on random pairs above the limit.  Raises IntegrityError on failure."""
         n = self.order
         if n <= exhaustive_limit:
-            pairs = ((i, j) for i in range(n) for j in range(n))
+            left, right = np.divmod(np.arange(n * n), n)
         else:
             rng = random.Random(seed)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-        for i, j in pairs:
-            prod = (self.elements[i] @ self.elements[j]) % self.m
-            if np.ascontiguousarray(prod).tobytes() not in self._raw_index:
-                raise IntegrityError(f"product of elements {i} and {j} escapes the group")
+            left, right = np.array(
+                [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]).T
+        for lo in range(0, len(left), kernels.CHUNK):
+            i, j = left[lo:lo + kernels.CHUNK], right[lo:lo + kernels.CHUNK]
+            prods = np.matmul(self.elements[i], self.elements[j]) % self.m
+            bad = np.flatnonzero(self.ids_of(prods) < 0)
+            if len(bad):
+                raise IntegrityError(f"product of elements {i[bad[0]]} and {j[bad[0]]} "
+                                     "escapes the group")
         return True
 
 
@@ -197,16 +196,15 @@ def generate_group(gens, cap=DEFAULT_CAP, symplectic=None) -> FiniteGroup:
     pairs += [(i, g.entries) for i, g in enumerate(inverses)]
     aug, source = _dedupe(pairs)
     gen_stack = np.ascontiguousarray(np.stack(aug))
-    elements, parents, parent_gens = kernels.closure(gen_stack, mod.m, cap)
+    elements, parents, parent_gens, index = kernels.closure(gen_stack, mod.m, cap)
     if symplectic:
-        from .modring import symplectic_form
-
         J = symplectic_form(d // 2) % mod.m
-        lhs = np.einsum("gji,jk,gkl->gil", elements, J, elements) % mod.m
+        lhs = np.matmul(np.matmul(elements.transpose(0, 2, 1), J) % mod.m, elements) % mod.m
         if not np.all(lhs == J):
             bad = int(np.nonzero(np.any(lhs != J, axis=(1, 2)))[0][0])
             raise IntegrityError(f"element {bad} violates the symplectic condition")
-    return FiniteGroup(elements, parents, parent_gens, gen_stack, source, mod, symplectic)
+    return FiniteGroup(elements, parents, parent_gens, index, gen_stack, source, mod,
+                       symplectic)
 
 
 def twisted_classes(g: FiniteGroup, phi) -> Partition:

@@ -67,6 +67,10 @@ class ModMatrix:
             raise StructuralError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] % 2 != 0:
             raise StructuralError(f"dimension must be even, got {a.shape[0]}")
+        if a.shape[0] * (mod.m - 1) ** 2 >= 2**63:
+            raise StructuralError(
+                f"modulus {mod.m} too large for exact int64 products in dimension "
+                f"{a.shape[0]}")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
         self.entries = a
@@ -130,14 +134,14 @@ def mat_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
     return ModMatrix((a.entries @ b.entries) % a.m, a.modulus)
 
 
-def det(a: ModMatrix) -> int:
-    """Determinant of a, as a residue in [0, m).
+def _int_det(mat) -> int:
+    """Exact determinant of a square list-of-lists integer matrix, which it
+    overwrites.
 
-    Bareiss fraction-free elimination over exact python integers, reduced
-    mod m only at the end, so composite moduli need no unit pivots.
+    Bareiss fraction-free elimination: every division is exact, so no
+    pivot needs to be a unit and the result is reduced by the caller.
     """
-    n = a.dim
-    mat = [[int(x) for x in row] for row in a.entries]
+    n = len(mat)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -154,36 +158,12 @@ def det(a: ModMatrix) -> int:
                 mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
             mat[i][k] = 0
         prev = mat[k][k]
-    return (sign * mat[n - 1][n - 1]) % a.m
+    return sign * mat[n - 1][n - 1]
 
 
-def _minor_det(rows, skip_r, skip_c, n):
-    sub = [[rows[i][j] for j in range(n) if j != skip_c] for i in range(n) if i != skip_r]
-    # Laplace-free: reuse Bareiss on the plain integer minor
-    k = n - 1
-    if k == 0:
-        return 1
-    if k == 1:
-        return sub[0][0]
-    if k == 2:
-        return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-    sign = 1
-    prev = 1
-    for c in range(k - 1):
-        if sub[c][c] == 0:
-            for r in range(c + 1, k):
-                if sub[r][c] != 0:
-                    sub[c], sub[r] = sub[r], sub[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(c + 1, k):
-            for j in range(c + 1, k):
-                sub[i][j] = (sub[i][j] * sub[c][c] - sub[i][c] * sub[c][j]) // prev
-            sub[i][c] = 0
-        prev = sub[c][c]
-    return sign * sub[k - 1][k - 1]
+def det(a: ModMatrix) -> int:
+    """Determinant of a, as a residue in [0, m); exact over the integers first."""
+    return _int_det(a.entries.tolist()) % a.m
 
 
 def mat_inverse(a: ModMatrix) -> ModMatrix:
@@ -194,11 +174,13 @@ def mat_inverse(a: ModMatrix) -> ModMatrix:
     except ValueError:
         raise SingularMatrixError(d, a.m) from None
     n = a.dim
-    rows = [[int(x) for x in row] for row in a.entries]
+    rows = a.entries.tolist()
     adj = np.empty((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
-            c = _minor_det(rows, j, i, n)  # adjugate = transposed cofactors
+            # adjugate = transposed cofactors: drop row j and column i
+            minor = [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j]
+            c = _int_det(minor)
             if (i + j) % 2:
                 c = -c
             adj[i, j] = (c * dinv) % a.m
@@ -223,15 +205,16 @@ def is_symplectic(a: ModMatrix) -> bool:
     """
     n = a.dim // 2
     J = symplectic_form(n) % a.m
-    return np.array_equal((a.entries.T @ J @ a.entries) % a.m, J)
+    return np.array_equal((a.entries.T @ J % a.m) @ a.entries % a.m, J)
 
 
-def _entry_width(m: int) -> int:
+def entry_dtype(m: int) -> str:
+    """Minimal-width little-endian unsigned dtype holding every residue mod m."""
     if m <= 256:
-        return 1
+        return "<u1"
     if m <= 65536:
-        return 2
-    return 4
+        return "<u2"
+    return "<u4"
 
 
 def canonical_key(a: ModMatrix) -> bytes:
@@ -241,65 +224,13 @@ def canonical_key(a: ModMatrix) -> bytes:
     then dim^2 entries row-major as minimal-width little-endian unsigned
     integers (1 byte if m <= 256, 2 if m <= 65536, else 4).
     """
-    w = _entry_width(a.m)
-    dtype = {1: "<u1", 2: "<u2", 4: "<u4"}[w]
-    return struct.pack("<II", a.dim, a.m) + a.entries.astype(dtype).tobytes()
+    return struct.pack("<II", a.dim, a.m) + a.entries.astype(entry_dtype(a.m)).tobytes()
 
 
 def from_canonical_key(key: bytes) -> ModMatrix:
     """Decode a canonical_key back into the matrix it encodes."""
     dim, m = struct.unpack_from("<II", key)
-    w = _entry_width(m)
-    dtype = {1: "<u1", 2: "<u2", 4: "<u4"}[w]
-    body = np.frombuffer(key, dtype=dtype, offset=8)
+    body = np.frombuffer(key, dtype=entry_dtype(m), offset=8)
     if body.size != dim * dim:
         raise StructuralError(f"key body has {body.size} entries, expected {dim * dim}")
     return ModMatrix(body.astype(np.int64).reshape(dim, dim), m)
-
-
-def batch_mod_inverse(stack: np.ndarray, m: int) -> np.ndarray:
-    """Inverses of a stack of invertible matrices mod m, vectorized for dim 2 and 4.
-
-    Falls back to the per-matrix adjugate for other dimensions.
-    """
-    d = stack.shape[-1]
-    mod = Modulus(m)
-    if d == 2:
-        dets = (stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]) % m
-        dinv = np.array([mod.unit_inverse(int(x)) for x in dets], dtype=np.int64)
-        out = np.empty_like(stack)
-        out[:, 0, 0] = stack[:, 1, 1]
-        out[:, 1, 1] = stack[:, 0, 0]
-        out[:, 0, 1] = -stack[:, 0, 1]
-        out[:, 1, 0] = -stack[:, 1, 0]
-        return (out * dinv[:, None, None]) % m
-    if d == 4:
-        return _batch_inverse4(stack.astype(object), m)
-    mats = [mat_inverse(ModMatrix(x, m)).entries for x in stack]
-    return np.stack(mats)
-
-
-def _det3(a, r, c):
-    # 3x3 determinant of `a` with row r and column c removed (a is (N,4,4) object array)
-    rs = [i for i in range(4) if i != r]
-    cs = [j for j in range(4) if j != c]
-    m0, m1, m2 = rs
-    n0, n1, n2 = cs
-    return (
-        a[:, m0, n0] * (a[:, m1, n1] * a[:, m2, n2] - a[:, m1, n2] * a[:, m2, n1])
-        - a[:, m0, n1] * (a[:, m1, n0] * a[:, m2, n2] - a[:, m1, n2] * a[:, m2, n0])
-        + a[:, m0, n2] * (a[:, m1, n0] * a[:, m2, n1] - a[:, m1, n1] * a[:, m2, n0])
-    )
-
-
-def _batch_inverse4(a, m):
-    mod = Modulus(m)
-    cof = np.empty(a.shape, dtype=object)
-    for r in range(4):
-        for c in range(4):
-            s = -1 if (r + c) % 2 else 1
-            cof[:, r, c] = s * _det3(a, r, c)
-    dets = sum(a[:, 0, c] * cof[:, 0, c] for c in range(4)) % m
-    dinv = np.array([mod.unit_inverse(int(x)) for x in dets], dtype=object)
-    adj = cof.transpose(0, 2, 1)
-    return ((adj * dinv[:, None, None]) % m).astype(np.int64)

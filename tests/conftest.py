@@ -69,6 +69,45 @@ def quaternion8():
     return g
 
 
+def reference_closure(gens, m, cap):
+    """Sequential BFS reference for kernels.closure: one product at a time,
+    frontier-major and generator-minor, each new element taking the next id.
+
+    Returns (elements, parents, parent_gens); the kernel must match all
+    three bit for bit.
+    """
+    k, d, _ = gens.shape
+    gens = gens % m
+    ident = np.ascontiguousarray(np.eye(d, dtype=np.int64))
+    elems = [ident]
+    index = {ident.tobytes(): 0}
+    parents = [-1]
+    parent_gens = [-1]
+    frontier = [0]
+    while frontier:
+        stack = np.stack([elems[i] for i in frontier])
+        prods = np.einsum("fij,gjk->fgik", stack, gens) % m
+        new_frontier = []
+        for a, i in enumerate(frontier):
+            for j in range(k):
+                y = np.ascontiguousarray(prods[a, j])
+                key = y.tobytes()
+                if key not in index:
+                    if len(elems) >= cap:
+                        raise rm.CapacityError(cap, len(elems))
+                    index[key] = len(elems)
+                    new_frontier.append(len(elems))
+                    elems.append(y)
+                    parents.append(i)
+                    parent_gens.append(j)
+        frontier = new_frontier
+    return (
+        np.ascontiguousarray(np.stack(elems)),
+        np.array(parents, dtype=np.int64),
+        np.array(parent_gens, dtype=np.int64),
+    )
+
+
 def brute_force_twisted_partition(g, phi):
     """Independent O(|G|^2) oracle: union-find over x ~ a x phi(a)^-1 with
     every group element as a move, no generator BFS involved."""

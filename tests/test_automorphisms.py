@@ -53,6 +53,16 @@ class TestInner:
         right = rm.inner(sp2_5, rm.mat_mul(u, v))
         assert left == right
 
+    def test_normalizer_check_exact_at_wide_modulus(self):
+        # u x u^-1 on {I, -I}: the unreduced triple product wraps int64 here
+        m = 2**21 + 17
+        g = rm.generate_group([rm.ModMatrix(-np.eye(2, dtype=np.int64), m)])
+        u = rm.ModMatrix([[m - 2, 1], [m - 3, 1]], m)
+        assert rm.det(u) == 1
+        neg = g.element(1)
+        assert rm.mat_mul(rm.mat_mul(u, neg), rm.mat_inverse(u)) == neg
+        assert rm.inner(g, u).is_identity
+
     def test_non_normalizing_conjugator(self, dihedral8):
         with pytest.raises(IntegrityError):
             rm.inner(dihedral8, rm.ModMatrix([[1, 1], [0, 1]], 3))

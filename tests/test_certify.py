@@ -178,6 +178,11 @@ class TestGrowthScan:
         with pytest.raises(PreconditionError):
             rm.growth_scan([6])
 
+    def test_empty_prime_list_rejected(self):
+        # an empty scan certifies nothing; it must not pass vacuously
+        with pytest.raises(PreconditionError):
+            rm.growth_scan([])
+
     def test_csv(self):
         cert = rm.growth_scan([5])
         csv = growth_rows_csv(cert)

@@ -211,6 +211,32 @@ class TestBlocksCommand:
         assert code == 2
 
 
+class TestBadInput:
+    """Bad input exits 2 with a message: no traceback, no vacuous pass."""
+
+    def test_shift_zero_trials(self, capsys):
+        code, out, err = run(capsys, "oracle-shift", "--modulus", "5", "--trials", "0")
+        assert code == 2
+        assert out == ""
+        assert "--trials must be >= 1" in err
+
+    def test_growth_empty_prime_list(self, capsys):
+        code, out, err = run(capsys, "certify-growth", "--primes", ",")
+        assert code == 2
+        assert out == ""
+        assert "at least one prime" in err
+
+    def test_growth_non_integer_primes(self, capsys):
+        code, out, err = run(capsys, "certify-growth", "--primes", "5,x")
+        assert code == 2
+        assert "comma-separated integers" in err
+
+    def test_modulus_too_wide_for_int64(self, capsys):
+        code, out, err = run(capsys, "order", "--modulus", str(2**32 + 15))
+        assert code == 2
+        assert "too large" in err
+
+
 class TestOutput:
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.json"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reidemeister as rm
-from reidemeister.errors import CapacityError, SingularMatrixError, StructuralError
+from reidemeister.errors import (CapacityError, IntegrityError, SingularMatrixError,
+                                 StructuralError)
 
 from conftest import brute_force_twisted_partition
 
@@ -70,6 +71,16 @@ class TestGenerateGroup:
 
     def test_verify_closure(self, sp2_5):
         assert sp2_5.verify_closure()
+
+    def test_verify_closure_reports_escape(self, sp2_5):
+        # the same group with its last element dropped is not closed
+        n = sp2_5.order - 1
+        index = {sp2_5.elements[i].tobytes(): i for i in range(n)}
+        g = rm.FiniteGroup(sp2_5.elements[:n], sp2_5.parents[:n], sp2_5.parent_gens[:n],
+                           index, sp2_5.gen_matrices, sp2_5.gen_source, sp2_5.modulus,
+                           True)
+        with pytest.raises(IntegrityError, match="escapes the group"):
+            g.verify_closure()
 
 
 class TestPartitions:

@@ -1,99 +1,118 @@
-"""Backend equivalence: the compiled kernel and the numpy fallback must be
-bit-identical (same discovery order, same parent links, same errors)."""
+"""The closure kernel against the sequential BFS reference in conftest: same
+elements, parents and parent_gens bit for bit, plus the kernel's errors."""
 
 import numpy as np
 import pytest
 
 import reidemeister as rm
-from reidemeister.errors import CapacityError
-from reidemeister.kernels import py_fallback
-
-try:
-    from reidemeister.kernels import _closure
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
-
-needs_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="compiled kernel not built")
+from conftest import reference_closure
+from reidemeister import kernels
+from reidemeister.errors import CapacityError, IntegrityError
 
 
-def _augmented_gens(n, m):
-    gens = [g.entries for g in rm.standard_generators(n, m)]
-    out = list(gens)
-    for g in rm.standard_generators(n, m):
+def _augmented(gens):
+    """Generators followed by their new inverses, as generate_group orders them."""
+    out = [g.entries for g in gens]
+    for g in gens:
         inv = rm.mat_inverse(g).entries
         if not any(np.array_equal(inv, h) for h in out):
             out.append(inv)
     return np.ascontiguousarray(np.stack(out))
 
 
-@needs_compiled
-@pytest.mark.parametrize("n,m", [(1, 5), (1, 7), (1, 9), (2, 3)])
-def test_closure_bit_identical(n, m):
-    gens = _augmented_gens(n, m)
-    e1, p1, g1 = py_fallback.closure(gens, m, 10**6)
-    e2, p2, g2 = _closure.closure(gens, m, 10**6)
-    assert np.array_equal(e1, e2)
-    assert np.array_equal(p1, p2)
-    assert np.array_equal(g1, g2)
+def _sp_gens(n, m):
+    return _augmented(rm.standard_generators(n, m))
 
 
-@needs_compiled
-def test_action_table_identical():
+# two non-symplectic 2x2 generators over Z_1009 (1009 is prime): the group
+# they generate is large enough to span several frontier chunks
+Z1009_GENS = [rm.ModMatrix([[1, 1], [0, 1]], 1009), rm.ModMatrix([[3, 0], [0, 1]], 1009)]
+
+
+def _assert_matches_reference(gens, m):
+    elems, parents, parent_gens, index = kernels.closure(gens, m, 10**7)
+    ref = reference_closure(gens, m, 10**7)
+    for got, want in zip((elems, parents, parent_gens), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert len(index) == len(elems)
+    assert all(index[elems[i].tobytes()] == i for i in range(len(elems)))
+    return elems
+
+
+@pytest.mark.parametrize("n,m", [(1, 5), (1, 7), (1, 9), (1, 12), (2, 2), (2, 3)])
+def test_closure_matches_reference(n, m):
+    elems = _assert_matches_reference(_sp_gens(n, m), m)
+    assert len(elems) == rm.sp_order(n, m)
+
+
+@pytest.fixture(scope="module")
+def z1009():
+    return rm.generate_group(Z1009_GENS)
+
+
+def test_non_symplectic_group_matches_reference(z1009):
+    assert not z1009.symplectic
+    gens = _augmented(Z1009_GENS)
+    elems = _assert_matches_reference(gens, 1009)
+    assert np.array_equal(elems, z1009.elements)
+    # some BFS level holds more elements than one chunk of the frontier
+    assert np.bincount(_depths(z1009.parents)).max() > kernels.CHUNK
+
+
+def _depths(parents):
+    depth = np.zeros(len(parents), dtype=np.int64)
+    for i in range(1, len(parents)):  # parents precede children
+        depth[i] = depth[parents[i]] + 1
+    return depth
+
+
+def test_lex_order_is_canonical_key_order(z1009):
+    # at m > 256 entries are 2-byte little-endian, so the keys do not sort
+    # like the entries themselves
+    keys = [rm.canonical_key(z1009.element(i)) for i in range(z1009.order)]
+    want = sorted(range(z1009.order), key=keys.__getitem__)
+    assert z1009.lex_order().tolist() == want
+    by_entries = np.lexsort(z1009.elements.reshape(z1009.order, -1).T[::-1])
+    assert by_entries.tolist() != want
+
+
+def test_parent_factorization():
     m = 7
-    gens = _augmented_gens(1, m)
-    elems, _, _ = py_fallback.closure(gens, m, 10**6)
-    index = {np.ascontiguousarray(elems[i]).tobytes(): i
-             for i in range(len(elems))}
-    left = elems[17]
-    right = elems[42]
-    t1 = py_fallback.action_table(elems, left, right, m, index)
-    t2 = _closure.action_table(elems, left, right, m, index)
-    assert np.array_equal(t1, t2)
-
-
-@pytest.mark.parametrize("backend", ["python"] + (["cython"] if HAVE_COMPILED else []))
-def test_parent_factorization(backend):
-    impl = py_fallback if backend == "python" else _closure
-    m = 7
-    gens = _augmented_gens(1, m)
-    elems, parents, parent_gens = impl.closure(gens, m, 10**6)
+    gens = _sp_gens(1, m)
+    elems, parents, parent_gens, _ = kernels.closure(gens, m, 10**6)
     assert len(elems) == 336
     assert parents[0] == -1 and parent_gens[0] == -1
     for i in range(1, len(elems)):
-        assert np.array_equal((elems[parents[i]] @ gens[parent_gens[i]]) % m,
-                              elems[i])
+        assert np.array_equal((elems[parents[i]] @ gens[parent_gens[i]]) % m, elems[i])
 
 
-@pytest.mark.parametrize("backend", ["python"] + (["cython"] if HAVE_COMPILED else []))
-def test_capacity_error(backend):
-    impl = py_fallback if backend == "python" else _closure
-    gens = _augmented_gens(1, 7)
-    with pytest.raises(CapacityError):
-        impl.closure(gens, 7, 50)
+def test_capacity_error_message():
+    with pytest.raises(CapacityError) as e:
+        kernels.closure(_sp_gens(1, 7), 7, 50)
+    assert str(e.value) == "closure exceeded cap of 50 elements (50 found)"
+    assert (e.value.cap, e.value.found) == (50, 50)
+    with pytest.raises(CapacityError) as ref:
+        reference_closure(_sp_gens(1, 7), 7, 50)
+    assert str(ref.value) == str(e.value)
 
 
-@pytest.mark.parametrize("backend", ["python"] + (["cython"] if HAVE_COMPILED else []))
-def test_escape_raises_keyerror_with_id(backend):
-    impl = py_fallback if backend == "python" else _closure
-    m = 5
-    gens = _augmented_gens(1, m)
-    elems, _, _ = impl.closure(gens, m, 10**6)
-    index = {np.ascontiguousarray(elems[i]).tobytes(): i
-             for i in range(len(elems))}
-    scaled = 2 * np.eye(2, dtype=np.int64)  # det 4: not symplectic, escapes
-    with pytest.raises(KeyError) as e:
-        impl.action_table(elems, scaled, np.eye(2, dtype=np.int64), m, index)
-    assert e.value.args[0] == 0  # identity already maps outside
+def test_escaping_action_table_names_first_bad_id(sp2_5, dihedral8):
+    # 2I has det 4: x -> 2x leaves SL(2, Z_5) already at the identity
+    ident = np.eye(2, dtype=np.int64)
+    with pytest.raises(IntegrityError, match=r"action image of element 0 is not"):
+        sp2_5.action_table(2 * ident, ident)
+    # conjugation by a non-normalizing u fixes the identity, so the first
+    # escaping id lies past 0; find it one scalar lookup at a time
+    u = rm.ModMatrix([[1, 1], [0, 1]], 3)
+    uinv = rm.mat_inverse(u)
+    first_bad = next(i for i in range(dihedral8.order)
+                     if not dihedral8.contains(u @ dihedral8.element(i) @ uinv))
+    assert first_bad > 0
+    with pytest.raises(IntegrityError, match=rf"action image of element {first_bad} is"):
+        dihedral8.action_table(u.entries, uinv.entries)
 
 
-def test_selected_backend_consistent_with_group(sp2_5):
-    # whichever backend import selected, the public pipeline agrees with the
-    # pure-python one recomputed here
-    gens = _augmented_gens(1, 5)
-    elems, parents, parent_gens = py_fallback.closure(gens, 5, 10**6)
-    assert np.array_equal(elems, sp2_5.elements)
-    assert np.array_equal(parents, sp2_5.parents)
-    assert np.array_equal(parent_gens, sp2_5.parent_gens)
-    assert rm.KERNEL_BACKEND in ("cython", "python")
+def test_lookup_marks_missing_rows(sp2_5):
+    mats = np.stack([sp2_5.elements[17], 2 * np.eye(2, dtype=np.int64), sp2_5.elements[3]])
+    assert sp2_5.ids_of(mats).tolist() == [17, -1, 3]

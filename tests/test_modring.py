@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from reidemeister.errors import SingularMatrixError, StructuralError
-from reidemeister.modring import Modulus, _entry_width
+from reidemeister.modring import Modulus, entry_dtype
 
 
 def mm(entries, m):
@@ -155,6 +155,28 @@ class TestSymplectic:
             assert rm.is_symplectic(rm.mat_mul(a, b))
 
 
+class TestInt64Bound:
+    """dim * (m - 1)^2 must stay below 2^63 so no int64 product wraps."""
+
+    def test_too_wide_modulus_rejected(self):
+        m = 2**32 + 15
+        with pytest.raises(StructuralError):
+            a = mm([[2**32 + 1, 0], [0, 1]], m)
+            rm.mat_mul(a, a)  # would square to 4294967282, not 196
+        with pytest.raises(StructuralError):
+            rm.canonical_key(mm([[1, 0], [0, 1]], m))
+
+    def test_bound_depends_on_dimension(self):
+        m = 2**31  # 2 * (m - 1)^2 < 2^63 <= 4 * (m - 1)^2
+        a = mm([[m - 1, m - 1], [m - 1, m - 1]], m)
+        exact = [[(2 * (m - 1) ** 2) % m] * 2] * 2
+        assert rm.mat_mul(a, a).entries.tolist() == exact
+        with pytest.raises(StructuralError):
+            mm(np.eye(4, dtype=np.int64), m)
+        with pytest.raises(StructuralError):
+            mm(np.eye(2, dtype=np.int64), m + 1)
+
+
 class TestCanonicalKey:
     def test_equal_matrices_equal_keys(self):
         assert rm.canonical_key(mm([[1, 2], [3, 4]], 5)) == \
@@ -174,7 +196,7 @@ class TestCanonicalKey:
 
     def test_wide_modulus_layout(self):
         key = rm.canonical_key(mm([[300, 0], [0, 1]], 1000))
-        assert _entry_width(1000) == 2
+        assert entry_dtype(1000) == "<u2"
         assert key == struct.pack("<II", 2, 1000) + struct.pack("<4H", 300, 0, 0, 1)
         assert rm.from_canonical_key(key) == mm([[300, 0], [0, 1]], 1000)
 
