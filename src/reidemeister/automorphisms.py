@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from math import gcd
+from math import lcm
 
 import numpy as np
 
+from . import kernels
 from .errors import (IntegrityError, PreconditionError, StructuralError,
                      UnsupportedTwistError)
 from .group import FiniteGroup
@@ -81,22 +82,10 @@ class Automorphism:
         return bool(np.array_equal(self.perm, np.arange(self.group.order)))
 
     def order(self) -> int:
-        """Least k >= 1 with phi^k the identity map, from the cycle structure."""
+        """Least k >= 1 with phi^k the identity map: the lcm of its cycle lengths."""
         if self._order is None:
-            n = self.group.order
-            seen = np.zeros(n, dtype=bool)
-            result = 1
-            for i in range(n):
-                if seen[i]:
-                    continue
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = int(self.perm[j])
-                    length += 1
-                result = result * length // gcd(result, length)
-            self._order = result
+            cycles, _ = kernels.orbits([self.perm], self.group.order)
+            self._order = lcm(*np.unique(np.bincount(cycles)).tolist())
         return self._order
 
 
@@ -237,7 +226,7 @@ def parse_descriptor(g: FiniteGroup, spec: str) -> Automorphism:
     if spec.startswith("inner:"):
         raw = spec[len("inner:"):]
         try:
-            entries = [int(x) for x in raw.split(",")]
+            entries = [int(x) % g.m for x in raw.split(",")]  # reduced before int64
         except ValueError:
             raise PreconditionError(f"bad inner conjugator entries: {raw!r}") from None
         d = g.dim

@@ -2,7 +2,7 @@
 
 Each operation recomputes a claimed relation by a code path disjoint from
 the one under test (e.g. ordinary conjugacy inside a semidirect product
-versus twisted-orbit BFS) and packages the exact results, with a verdict,
+versus twisted-class orbits) and packages the exact results, with a verdict,
 into a Certificate.  All quantities are exact integers; nothing here is
 approximate.
 """
@@ -10,11 +10,11 @@ approximate.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .automorphisms import (Automorphism, Character, character_twist, compose,
                             identity_automorphism, inner, sign_flip)
 from .errors import CapacityError, PreconditionError, StructuralError
@@ -88,32 +88,23 @@ class SemidirectGroup:
         return self.mult(self.mult(c, x), self.inv(c))
 
     def coset_conjugacy_classes(self, k=1):
-        """Ordinary-conjugacy class labels of the coset {(g, k)}, by orbit BFS
-        under conjugation by the semidirect group's generators."""
+        """Ordinary-conjugacy class labels of the coset {(g, k)}: the orbits,
+        by kernels.orbits, of conjugation by the semidirect group's
+        generators, each move table built with the scalar product."""
         conjugators = [(s, 0) for s in self.base.generators]
         if self.m > 1:
             conjugators += [(self.base.identity, 1), (self.base.identity, self.m - 1)]
         n = self.base.order
-        labels = np.full(n, -1, dtype=np.int64)
-        n_classes = 0
-        for root in range(n):
-            if labels[root] != -1:
-                continue
-            cid = n_classes
-            n_classes += 1
-            labels[root] = cid
-            queue = deque([root])
-            while queue:
-                x = queue.popleft()
-                for c in conjugators:
-                    y, kk = self.conjugate(c, (x, k))
-                    if kk != k % self.m:
-                        raise StructuralError(
-                            "conjugation changed the Z_m component; broken product")
-                    if labels[y] == -1:
-                        labels[y] = cid
-                        queue.append(y)
-        return labels, n_classes
+        moves = []
+        for c in conjugators:
+            table = np.empty(n, dtype=np.int64)
+            for x in range(n):
+                table[x], kk = self.conjugate(c, (x, k))
+                if kk != k % self.m:
+                    raise StructuralError(
+                        "conjugation changed the Z_m component; broken product")
+            moves.append(table)
+        return kernels.orbits(moves, n)
 
 
 def semidirect_oracle(g: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP) -> Certificate:
@@ -134,6 +125,19 @@ def semidirect_oracle(g: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP) -> Cer
     )
 
 
+def _class_map(src, dst, n_src):
+    """Map from src labels to dst labels along the element ids.
+
+    image[c] is the dst label of the first element (in id order) with src
+    label c, -1 where no element has it; well_defined says every element
+    agrees with its label's image.
+    """
+    labels, first = np.unique(src, return_index=True)
+    image = np.full(n_src, -1, dtype=np.int64)
+    image[labels] = dst[first]
+    return image, bool(np.array_equal(image[src], dst))
+
+
 def shift_bijection_check(g: FiniteGroup, phi: Automorphism, theta: int) -> Certificate:
     """Right multiplication by theta^-1 must send classes of phi bijectively
     onto classes of (inner(theta) . phi); verified class-by-class."""
@@ -146,17 +150,9 @@ def shift_bijection_check(g: FiniteGroup, phi: Automorphism, theta: int) -> Cert
     ident = np.eye(g.dim, dtype=np.int64)
     rmul = g.action_table(ident, theta_inv)
     # image class labels under x -> x theta^-1, per source class
-    image_label = np.full(p1.n_classes, -1, dtype=np.int64)
-    well_defined = True
-    for x in range(g.order):
-        c = p1.class_of[x]
-        lab = p2.class_of[rmul[x]]
-        if image_label[c] == -1:
-            image_label[c] = lab
-        elif image_label[c] != lab:
-            well_defined = False
+    image_label, well_defined = _class_map(p1.class_of, p2.class_of[rmul], p1.n_classes)
     bijective = (well_defined
-                 and len(set(int(v) for v in image_label)) == p1.n_classes
+                 and len(set(image_label.tolist())) == p1.n_classes
                  and p1.n_classes == p2.n_classes)
     return Certificate(
         claim_id="lemma2.1-shift-bijection",
@@ -174,29 +170,9 @@ def shift_bijection_check(g: FiniteGroup, phi: Automorphism, theta: int) -> Cert
 def _refined_partition(g: FiniteGroup, phi: Automorphism, h_ids: np.ndarray):
     """Orbits of y -> a y phi(a)^-1 for a in the subgroup H, using every
     element of H as a move (fixture-scale groups only)."""
-    n = g.order
-    moves = []
-    for a in h_ids:
-        left = g.elements[int(a)]
-        right = g.elements[g.inverse_id(phi.apply_id(int(a)))]
-        moves.append(g.action_table(left, right))
-    labels = np.full(n, -1, dtype=np.int64)
-    count = 0
-    for root in range(n):
-        if labels[root] != -1:
-            continue
-        cid = count
-        count += 1
-        labels[root] = cid
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for t in moves:
-                y = int(t[x])
-                if labels[y] == -1:
-                    labels[y] = cid
-                    queue.append(y)
-    return labels, count
+    moves = [g.action_table(g.elements[a], g.elements[g.inverse_id(phi.apply_id(a))])
+             for a in h_ids.tolist()]
+    return kernels.orbits(moves, g.order)
 
 
 def refined_split_check(g: FiniteGroup, phi: Automorphism, chi: Character) -> Certificate:
@@ -208,22 +184,13 @@ def refined_split_check(g: FiniteGroup, phi: Automorphism, chi: Character) -> Ce
     refined, n_refined = _refined_partition(g, phi, h_ids)
     p_phi = twisted_classes(g, phi)
     p_twist = twisted_classes(g, character_twist(chi, phi))
-    # subsets per phi-class
-    split_counts = {}
-    for x in range(g.order):
-        split_counts.setdefault(int(p_phi.class_of[x]), set()).add(int(refined[x]))
-    max_split = max(len(v) for v in split_counts.values())
-    unsplit = sum(1 for v in split_counts.values() if len(v) == 1)
+    # distinct (phi-class, refined subset) pairs, counted per phi-class
+    pairs = np.unique(p_phi.class_of * n_refined + refined)
+    split = np.bincount(pairs // n_refined, minlength=p_phi.n_classes)
+    max_split = int(split.max())
+    unsplit = int(np.count_nonzero(split == 1))
     # each refined subset must lie inside a single (chi.phi)-class
-    union_ok = True
-    owner = np.full(n_refined, -1, dtype=np.int64)
-    for x in range(g.order):
-        r = int(refined[x])
-        lab = int(p_twist.class_of[x])
-        if owner[r] == -1:
-            owner[r] = lab
-        elif owner[r] != lab:
-            union_ok = False
+    _, union_ok = _class_map(refined, p_twist.class_of, n_refined)
     ok = max_split <= 2 and union_ok
     return Certificate(
         claim_id="lemma3.1-refined-split",
@@ -256,33 +223,18 @@ def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism,
     if len(set(int(x) for x in proj)) != q.order:
         raise StructuralError("reduction does not map onto the target group")
     # induced automorphism on the quotient, from proj o phi = phi_bar o proj
-    induced = np.full(q.order, -1, dtype=np.int64)
-    for i in range(g.order):
-        src, dst = int(proj[i]), int(proj[phi.apply_id(i)])
-        if induced[src] == -1:
-            induced[src] = dst
-        elif induced[src] != dst:
-            raise StructuralError(
-                "automorphism does not commute with the reduction; no induced map")
-    for s in g.generators:
-        if induced[proj[s]] != proj[phi.apply_id(s)]:
-            raise StructuralError(f"reduction/automorphism mismatch at generator {s}")
+    induced, commutes = _class_map(proj, proj[phi.perm], q.order)
+    if not commutes:
+        raise StructuralError(
+            "automorphism does not commute with the reduction; no induced map")
     phi_bar = phi_q if phi_q is not None else Automorphism(
         q, induced, {"kind": "induced", "base": phi.descriptor})
     if phi_q is not None and not np.array_equal(phi_q.perm, induced):
         raise StructuralError("supplied quotient automorphism is not the induced one")
     p_g = twisted_classes(g, phi)
     p_q = twisted_classes(q, phi_bar)
-    class_image = np.full(p_g.n_classes, -1, dtype=np.int64)
-    well_defined = True
-    for x in range(g.order):
-        c = int(p_g.class_of[x])
-        lab = int(p_q.class_of[proj[x]])
-        if class_image[c] == -1:
-            class_image[c] = lab
-        elif class_image[c] != lab:
-            well_defined = False
-    surjective = len(set(int(v) for v in class_image)) == p_q.n_classes
+    class_image, well_defined = _class_map(p_g.class_of, p_q.class_of[proj], p_g.n_classes)
+    surjective = len(set(class_image.tolist())) == p_q.n_classes
     ok = well_defined and surjective and p_g.n_classes >= p_q.n_classes
     return Certificate(
         claim_id="eq2-quotient-epimorphism",

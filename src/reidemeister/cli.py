@@ -2,9 +2,10 @@
 and certification scans with reproducible JSON/CSV reports.
 
 Exit status: 0 pass, 1 fail verdict, 2 usage/structural error, 3 capacity
-error.  Reports are byte-identical across reruns with the same flags and
-seed; the only timestamp lives in the optional header line (suppress with
---no-header).
+error, 4 internal error (any other exception, reported on one stderr line;
+it is a bug, never a verdict).  Reports are byte-identical across reruns
+with the same flags and seed; the only timestamp lives in the optional
+header line (suppress with --no-header).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 
 def _add_common(p):
@@ -160,6 +162,8 @@ def _certificate_report(args, cert):
 
 
 def run(args) -> int:
+    if args.cap < 1:
+        raise PreconditionError(f"--cap must be >= 1, got {args.cap}")
     if args.command == "order":
         g = _sp_group(args)
         payload = _report_json({"command": "order", "n": args.n,
@@ -238,6 +242,9 @@ def main(argv=None) -> int:
     except (StructuralError, IntegrityError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit statuses: structural/usage errors exit 2,
-capacity errors exit 3.
+capacity errors exit 3; any other exception is an internal error and exits 4.
 """
 
 

@@ -8,7 +8,6 @@ generator list reproduce the same ordering, representatives and labels.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,11 @@ DEFAULT_CAP = 10**7
 class Partition:
     """Labeling of every group element by conjugacy class.
 
-    kind is "ordinary" or "twisted"; for twisted partitions the inducing
-    automorphism's serializable descriptor is attached.  Representatives
-    are the lexicographically minimal canonical_key of each class.
+    class_of holds the orbit labels of kernels.orbits: classes are numbered
+    in the order of their least element id.  kind is "ordinary" or
+    "twisted"; for twisted partitions the inducing automorphism's
+    serializable descriptor is attached.  Representatives are the
+    lexicographically minimal canonical_key of each class.
     """
 
     class_of: np.ndarray
@@ -210,39 +211,17 @@ def generate_group(gens, cap=DEFAULT_CAP, symplectic=None) -> FiniteGroup:
 def twisted_classes(g: FiniteGroup, phi) -> Partition:
     """Partition of g into twisted conjugacy classes of phi.
 
-    Orbits of the action a . x = a x phi(a)^-1, computed by BFS from each
-    undiscovered element (in id order) using only the augmented generators.
-    With phi the identity this is ordinary conjugacy.
+    Orbits of the action a . x = a x phi(a)^-1, computed by kernels.orbits
+    with one move per augmented generator; classes are numbered in the
+    order of their least element id.  With phi the identity this is
+    ordinary conjugacy.
     """
-    moves = []
-    for s in g.generators:
-        a = g.elements[s]
-        b = g.elements[g.inverse_id(phi.apply_id(s))]
-        moves.append(g.action_table(a, b))
-    moves = np.stack(moves) if moves else np.empty((0, g.order), dtype=np.int64)
-    n = g.order
-    class_of = np.full(n, -1, dtype=np.int64)
-    n_classes = 0
-    for root in range(n):
-        if class_of[root] != -1:
-            continue
-        cid = n_classes
-        n_classes += 1
-        class_of[root] = cid
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for t in range(len(moves)):
-                y = int(moves[t, x])
-                if class_of[y] == -1:
-                    class_of[y] = cid
-                    queue.append(y)
+    moves = [g.action_table(g.elements[s], g.elements[g.inverse_id(phi.apply_id(s))])
+             for s in g.generators]
+    class_of, n_classes = kernels.orbits(moves, g.order)
     sizes = np.bincount(class_of, minlength=n_classes).astype(np.int64)
-    reps = np.full(n_classes, -1, dtype=np.int64)
-    for i in g.lex_order():
-        c = class_of[i]
-        if reps[c] == -1:
-            reps[c] = i
+    order = g.lex_order()
+    reps = order[np.unique(class_of[order], return_index=True)[1]]
     kind = "ordinary" if phi.descriptor.get("kind") == "identity" else "twisted"
     auto = None if kind == "ordinary" else phi.descriptor
     return Partition(class_of, reps, sizes, kind, auto)

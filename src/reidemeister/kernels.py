@@ -1,5 +1,5 @@
 """Hot kernels: breadth-first closure under generators, the element index it
-builds, and batched group-action tables.
+builds, batched group-action tables and orbits of permutation moves.
 
 The element index is a dict from an element's raw row-major int64 bytes to
 its id.  closure fills it once; every batch lookup goes through lookup(),
@@ -83,3 +83,35 @@ def action_table(elems, left, right, m, index) -> np.ndarray:
     if len(bad):
         raise IntegrityError(f"action image of element {bad[0]} is not in the group")
     return ids
+
+
+def orbits(moves, n):
+    """Orbits on range(n) of the group generated by the permutations in moves.
+
+    moves: list of (n,) id arrays, each a permutation of range(n); it need
+    not be closed under inverses.  Returns (labels, count) with orbits
+    numbered in the order of their least element.
+
+    Min-label propagation with pointer jumping (Shiloach-Vishkin 1982):
+    each element takes the least label among itself and its images, then
+    label = label[label] runs to a fixed point; the rounds stop when the
+    labels do.  A label always names an element of the same orbit that is
+    no larger, so at the fixed point every element is labelled with its
+    orbit's least element (a permutation's cycle reaches back to its
+    start, so forward moves alone connect an orbit).
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        new = label.copy()
+        for t in moves:
+            np.minimum(new, label[t], out=new)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots, labels = np.unique(label, return_inverse=True)
+    return labels, len(roots)

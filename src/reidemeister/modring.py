@@ -56,7 +56,7 @@ class Modulus:
 
 
 class ModMatrix:
-    """Square matrix over Z_m with even dimension, immutable after construction."""
+    """Square matrix over Z_m of even dimension >= 2, immutable after construction."""
 
     __slots__ = ("entries", "modulus")
 
@@ -65,8 +65,8 @@ class ModMatrix:
         a = np.array(entries, dtype=np.int64) % mod.m
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] % 2 != 0:
-            raise StructuralError(f"dimension must be even, got {a.shape[0]}")
+        if a.shape[0] % 2 != 0 or a.shape[0] == 0:
+            raise StructuralError(f"dimension must be even and >= 2, got {a.shape[0]}")
         if a.shape[0] * (mod.m - 1) ** 2 >= 2**63:
             raise StructuralError(
                 f"modulus {mod.m} too large for exact int64 products in dimension "

@@ -1,7 +1,10 @@
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, reject
+from hypothesis import strategies as st
 
 import reidemeister as rm
 
@@ -108,10 +111,10 @@ def reference_closure(gens, m, cap):
     )
 
 
-def brute_force_twisted_partition(g, phi):
-    """Independent O(|G|^2) oracle: union-find over x ~ a x phi(a)^-1 with
-    every group element as a move, no generator BFS involved."""
-    n = g.order
+def union_find_labels(n, edges):
+    """Pure-Python union-find: component labels of range(n) under the
+    undirected edges, numbered in the order of each component's least
+    element (the numbering kernels.orbits promises)."""
     parent = list(range(n))
 
     def find(x):
@@ -120,26 +123,50 @@ def brute_force_twisted_partition(g, phi):
             x = parent[x]
         return x
 
-    def union(x, y):
+    for x, y in edges:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
-
-    m = g.m
-    inv_images = [g.elements[g.inverse_id(phi.apply_id(a))] for a in range(n)]
-    for x in range(n):
-        mat = g.elements[x]
-        for a in range(n):
-            y = (g.elements[a] @ mat @ inv_images[a]) % m
-            union(x, g.id_of(rm.ModMatrix(y, g.modulus)))
     roots = {}
-    labels = []
-    for x in range(n):
-        r = find(x)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels.append(roots[r])
+    labels = [roots.setdefault(find(x), len(roots)) for x in range(n)]
     return labels, len(roots)
+
+
+def brute_force_twisted_partition(g, phi):
+    """Independent O(|G|^2) oracle: union-find over x ~ a x phi(a)^-1 with
+    every group element as a move, no generator moves or orbit kernel."""
+    m = g.m
+    inv_images = [g.elements[g.inverse_id(phi.apply_id(a))] for a in range(g.order)]
+    edges = ((x, g.id_of(rm.ModMatrix((g.elements[a] @ g.elements[x] @ inv_images[a]) % m,
+                                      g.modulus)))
+             for x in range(g.order) for a in range(g.order))
+    return union_find_labels(g.order, edges)
+
+
+@st.composite
+def small_groups_with_automorphism(draw):
+    """A group generated by one or two random invertible 2x2 matrices over
+    Z_2..Z_7, at most 120 elements, with an automorphism: the identity or
+    the sign flip (where the group is normalized by diag(1, -1)), each
+    possibly followed by conjugation with a random element."""
+    m = draw(st.integers(2, 7))
+    rnd = draw(st.randoms(use_true_random=False))  # uniform entries, not shrunk to 0
+    gens = [[rnd.randrange(m) for _ in range(4)] for _ in range(draw(st.integers(1, 2)))]
+    assume(all(gcd(a * d - b * c, m) == 1 for a, b, c, d in gens))
+    try:
+        g = rm.generate_group([rm.ModMatrix(np.reshape(e, (2, 2)), m) for e in gens],
+                              cap=120)
+    except rm.CapacityError:
+        reject()
+    phi = rm.identity_automorphism(g)
+    if draw(st.booleans()):
+        try:
+            phi = rm.sign_flip(g)
+        except rm.IntegrityError:  # not normalized by diag(1, -1)
+            pass
+    if draw(st.booleans()):
+        phi = rm.compose(rm.inner(g, g.element(draw(st.integers(0, g.order - 1)))), phi)
+    return g, phi
 
 
 def torus_support_solutions(p, n, w):

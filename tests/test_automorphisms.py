@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reidemeister as rm
 from reidemeister.automorphisms import parse_descriptor
@@ -169,3 +171,21 @@ class TestOrder:
     def test_lazy_idempotent(self, sp2_5):
         phi = rm.sign_flip(sp2_5)
         assert phi.order() == phi.order() == 2
+
+    def test_lcm_of_cycle_lengths(self, sp2_5):
+        # order() depends on the permutation alone: a 2-cycle and a 3-cycle,
+        # with no 6-cycle, give order 6, not the longest cycle's length
+        perm = np.arange(sp2_5.order)
+        perm[[1, 2, 3, 4, 5]] = [2, 1, 4, 5, 3]
+        phi = rm.Automorphism(sp2_5, perm, {"kind": "cycles"}, _validated=True)
+        assert phi.order() == 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 335), st.booleans())
+    def test_least_power_giving_identity(self, sp2_7, conjugator, flip):
+        phi = rm.sign_flip(sp2_7) if flip else rm.identity_automorphism(sp2_7)
+        phi = rm.compose(rm.inner(sp2_7, sp2_7.element(conjugator)), phi)
+        k, power = 1, phi.perm
+        while not np.array_equal(power, np.arange(sp2_7.order)):
+            k, power = k + 1, phi.perm[power]
+        assert phi.order() == k

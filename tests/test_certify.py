@@ -1,10 +1,24 @@
 import json
 
+import numpy as np
 import pytest
 
 import reidemeister as rm
-from reidemeister.certify import FAIL, INCONCLUSIVE, PASS, growth_rows_csv
+from reidemeister.certify import FAIL, INCONCLUSIVE, PASS, _class_map, growth_rows_csv
 from reidemeister.errors import PreconditionError, StructuralError
+
+
+class TestClassMap:
+    def test_well_defined(self):
+        image, ok = _class_map(np.array([1, 0, 1, 0]), np.array([7, 5, 7, 5]), 3)
+        assert image.tolist() == [5, 7, -1]
+        assert ok is True
+
+    def test_not_well_defined(self):
+        # label 0 meets dst 5 first, then 6: the first occurrence gives the image
+        image, ok = _class_map(np.array([0, 1, 0]), np.array([5, 7, 6]), 2)
+        assert image.tolist() == [5, 7]
+        assert ok is False
 
 
 class TestSemidirectOracle:

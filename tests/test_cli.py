@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from reidemeister import cli
 from reidemeister.cli import main
 from reidemeister.modring import ModMatrix, canonical_key
 
@@ -235,6 +236,30 @@ class TestBadInput:
         code, out, err = run(capsys, "order", "--modulus", str(2**32 + 15))
         assert code == 2
         assert "too large" in err
+
+    def test_inner_entries_beyond_int64(self, capsys):
+        # 10**20 - 1 = 4 (mod 5): conjugation by diag(-1, 1), the sign flip
+        code, out, err = run(capsys, "twisted", "--modulus", "5", "--no-header",
+                             "--aut", "inner:99999999999999999999,0,0,1")
+        assert code == 0, err
+        assert json.loads(out)["class_count"] == 9
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one(self, capsys, cap):
+        code, out, err = run(capsys, "order", "--modulus", "5", "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert f"--cap must be >= 1, got {cap}" in err
+
+    def test_unmapped_exception_is_internal_error(self, capsys, monkeypatch):
+        def boom(g):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "ordinary_classes", boom)
+        code, out, err = run(capsys, "classes", "--modulus", "5")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == "internal error: ZeroDivisionError: boom\n"
 
 
 class TestOutput:

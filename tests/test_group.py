@@ -2,12 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import reidemeister as rm
 from reidemeister.errors import (CapacityError, IntegrityError, SingularMatrixError,
                                  StructuralError)
 
-from conftest import brute_force_twisted_partition
+from conftest import brute_force_twisted_partition, small_groups_with_automorphism
 
 
 class TestGenerateGroup:
@@ -106,6 +107,15 @@ class TestPartitions:
         mapping = {}
         for mine, theirs in zip(part.class_of, labels):
             assert mapping.setdefault(int(mine), theirs) == theirs
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups_with_automorphism())
+    def test_matches_brute_force_exactly(self, case):
+        g, phi = case
+        part = rm.twisted_classes(g, phi)
+        labels, count = brute_force_twisted_partition(g, phi)
+        assert part.n_classes == count
+        assert part.class_of.tolist() == labels
 
     def test_identity_automorphism_gives_ordinary(self, sp2_7):
         a = rm.ordinary_classes(sp2_7)

@@ -1,11 +1,14 @@
 """The closure kernel against the sequential BFS reference in conftest: same
-elements, parents and parent_gens bit for bit, plus the kernel's errors."""
+elements, parents and parent_gens bit for bit, plus the kernel's errors; the
+orbit routine against the union-find in conftest, label for label."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reidemeister as rm
-from conftest import reference_closure
+from conftest import reference_closure, union_find_labels
 from reidemeister import kernels
 from reidemeister.errors import CapacityError, IntegrityError
 
@@ -116,3 +119,22 @@ def test_escaping_action_table_names_first_bad_id(sp2_5, dihedral8):
 def test_lookup_marks_missing_rows(sp2_5):
     mats = np.stack([sp2_5.elements[17], 2 * np.eye(2, dtype=np.int64), sp2_5.elements[3]])
     assert sp2_5.ids_of(mats).tolist() == [17, -1, 3]
+
+
+def _permutation_lists(n):
+    perm = st.one_of(st.just(list(range(n))), st.permutations(range(n)))
+    return st.tuples(st.just(n), st.lists(perm, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 64).flatmap(_permutation_lists))
+# one n-cycle whose ids rise along the move: labels propagate one step a round
+@example((64, [list(range(1, 64)) + [0]]))
+def test_orbits_match_union_find(case):
+    n, perms = case
+    moves = [np.array(p, dtype=np.int64) for p in perms]
+    labels, count = kernels.orbits(moves, n)
+    want, want_count = union_find_labels(n, [(x, p[x]) for p in perms for x in range(n)])
+    assert count == want_count
+    assert labels.tolist() == want
+    assert [t.tolist() for t in moves] == perms  # moves are not written to

@@ -210,6 +210,10 @@ class TestStructure:
         with pytest.raises(StructuralError):
             rm.ModMatrix(np.eye(3, dtype=np.int64), 5)
 
+    def test_empty_rejected(self):
+        with pytest.raises(StructuralError, match="even and >= 2, got 0"):
+            rm.ModMatrix(np.zeros((0, 0), dtype=np.int64), 5)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(StructuralError):
             rm.ModMatrix(np.ones((2, 4), dtype=np.int64), 5)
