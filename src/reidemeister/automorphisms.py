@@ -3,9 +3,10 @@ character twists and compositions.
 
 An Automorphism is stored as the permutation it induces on the element
 table.  Construction always validates: images must stay inside the group,
-the map must be a bijection, and the homomorphism property is verified on
-every (generator, element) pair -- which by induction on word length
-covers all pairs -- plus seeded random pairs as a belt-and-braces check.
+the map must be a bijection, and phi(x g) = phi(x) phi(g) is verified on
+every edge (x, g) of the right Cayley table -- which by induction on word
+length covers all pairs -- plus seeded random pairs as a belt-and-braces
+check.  sign_flip and inner are built from their generator images alone.
 Equality is permutation equality, so inner(D) == sign_flip.
 """
 
@@ -26,27 +27,54 @@ from .modring import ModMatrix, mat_inverse
 RANDOM_PAIR_SAMPLES = 1000
 
 
-def _validate_automorphism(g: FiniteGroup, perm: np.ndarray, what: str, seed=0):
+def _random_pairs(n: int, seed):
+    """The seeded random pairs (i, j) of the belt-and-braces checks."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(min(RANDOM_PAIR_SAMPLES, n * n))]
+    return np.array(pairs, dtype=np.int64).T.reshape(2, -1)
+
+
+def _product_ids(g: FiniteGroup, a, b) -> np.ndarray:
+    """ids of a[t] b[t] for every t, by one batched matmul and lookup."""
+    return g.ids_of(np.matmul(g.elements[a], g.elements[b]) % g.m)
+
+
+def _validate_automorphism(g: FiniteGroup, perm: np.ndarray, what: str, images=None,
+                           seed=0):
+    """Checks perm is an automorphism: phi(x g_c) = phi(x) phi(g_c) on every
+    edge of the right Cayley table (all pairs, by induction on word length),
+    the declared generator images if given, bijectivity, and seeded random
+    pairs as a belt-and-braces check."""
     n = g.order
     if perm.shape != (n,):
         raise IntegrityError(f"{what}: image table has wrong size")
-    if not np.array_equal(np.sort(perm), np.arange(n)):
+    if perm.min() < 0 or perm.max() >= n:
         raise IntegrityError(f"{what}: not a bijection of the element table")
     if perm[g.identity] != g.identity:
         raise IntegrityError(f"{what}: identity not fixed")
-    ident = np.eye(g.dim, dtype=np.int64)
-    for s in g.generators:
-        # phi(s x) == phi(s) phi(x) for every x; exhaustive over the group,
-        # and sufficient for all pairs by induction on word length.
-        left = g.action_table(g.elements[s], ident)
-        left_img = g.action_table(g.elements[perm[s]], ident)
-        if not np.array_equal(perm[left], left_img[perm]):
+    for c, s in enumerate(g.generators):
+        if not np.array_equal(perm[g.right[:, c]], g.times(perm, int(perm[s]))):
             raise IntegrityError(f"{what}: homomorphism property fails at generator {s}")
-    rng = random.Random(seed)
-    for _ in range(min(RANDOM_PAIR_SAMPLES, n * n)):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if perm[g.mul_ids(i, j)] != g.mul_ids(int(perm[i]), int(perm[j])):
-            raise IntegrityError(f"{what}: homomorphism property fails at pair ({i},{j})")
+    if images is not None and not np.array_equal(perm[g.generators], images):
+        raise IntegrityError(f"{what}: generator images differ from the declared ones")
+    if not np.array_equal(np.sort(perm), np.arange(n)):
+        raise IntegrityError(f"{what}: not a bijection of the element table")
+    i, j = _random_pairs(n, seed)
+    ij, images_ij = _product_ids(g, np.concatenate([i, perm[i]]),
+                                 np.concatenate([j, perm[j]])).reshape(2, -1)
+    bad = np.flatnonzero(perm[ij] != images_ij)
+    if len(bad):
+        raise IntegrityError(f"{what}: homomorphism property fails at pair "
+                             f"({i[bad[0]]},{j[bad[0]]})")
+
+
+def _from_generator_images(g: FiniteGroup, images, descriptor: dict) -> "Automorphism":
+    """The automorphism sending generator column c to images[c], extended
+    along the BFS tree and validated on every Cayley edge."""
+    perm = g.extend(images)
+    _validate_automorphism(g, perm, descriptor["kind"], images=images)
+    return Automorphism(g, perm, descriptor, _validated=True)
 
 
 class Automorphism:
@@ -102,13 +130,13 @@ def sign_flip(g: FiniteGroup) -> Automorphism:
     """Entrywise multiplication by (-1)^(i+j); conjugation by diag(1,-1,1,-1,...)."""
     d = g.dim
     signs = np.fromfunction(lambda i, j: 1 - 2 * ((i + j) % 2), (d, d), dtype=np.int64)
-    perm = g.ids_of((g.elements * signs) % g.m)
-    bad = np.flatnonzero(perm < 0)
+    images = g.ids_of((g.gen_matrices * signs) % g.m)
+    bad = np.flatnonzero(images < 0)
     if len(bad):
         raise IntegrityError(
-            f"sign-flip image of element {bad[0]} is not in the group "
+            f"sign-flip image of element {g.generators[bad[0]]} is not in the group "
             "(group not normalized by diag(1,-1,...))")
-    return Automorphism(g, perm, {"kind": "sign_flip"})
+    return _from_generator_images(g, images, {"kind": "sign_flip"})
 
 
 def inner(g: FiniteGroup, u: ModMatrix) -> Automorphism:
@@ -116,14 +144,13 @@ def inner(g: FiniteGroup, u: ModMatrix) -> Automorphism:
     if u.dim != g.dim or u.m != g.m:
         raise StructuralError("conjugator has wrong dimension or modulus")
     uinv = mat_inverse(u)
-    gens = g.elements[g.generators]
-    escaped = np.flatnonzero(g.ids_of((u.entries @ gens % g.m) @ uinv.entries % g.m) < 0)
+    images = g.ids_of((u.entries @ g.gen_matrices % g.m) @ uinv.entries % g.m)
+    escaped = np.flatnonzero(images < 0)
     if len(escaped):
         raise IntegrityError(f"conjugate of generator {g.generators[escaped[0]]} escapes "
                              "the group: u does not normalize it")
-    perm = g.action_table(u.entries, uinv.entries)
     desc = {"kind": "inner", "conjugator": [int(x) for x in u.entries.ravel()]}
-    return Automorphism(g, perm, desc)
+    return _from_generator_images(g, images, desc)
 
 
 class Character:
@@ -146,13 +173,13 @@ class Character:
         gen_values: sequence of +-1, one per generator as passed to
         generate_group; an inverse generator inherits its source's value.
         """
-        aug_values = [int(gen_values[src]) for src in group.gen_source]
-        if any(v not in (1, -1) for v in aug_values):
+        aug_values = np.array([int(gen_values[src]) for src in group.gen_source])
+        if not np.all(np.isin(aug_values, (1, -1))):
             raise StructuralError("character values must be +1 or -1")
-        vals = np.empty(group.order, dtype=np.int64)
-        vals[0] = 1
-        for i in range(1, group.order):
-            vals[i] = vals[group.parents[i]] * aug_values[group.parent_gens[i]]
+        vals = np.ones(group.order, dtype=np.int64)
+        parents, cols = group.parents, group.parent_gens
+        for lo, hi in zip(group.levels[1:-1], group.levels[2:]):
+            vals[lo:hi] = vals[parents[lo:hi]] * aug_values[cols[lo:hi]]
         return cls(group, vals)
 
     @property
@@ -167,17 +194,15 @@ class Character:
             raise IntegrityError("character values outside {+1,-1}")
         if self.values[g.identity] != 1:
             raise IntegrityError("character does not send identity to +1")
-        ident = np.eye(g.dim, dtype=np.int64)
-        for s in g.generators:
-            left = g.action_table(g.elements[s], ident)
-            if not np.array_equal(self.values[left], self.values[s] * self.values):
+        vals = self.values
+        for c, s in enumerate(g.generators):
+            if not np.array_equal(vals[g.right[:, c]], vals * vals[s]):
                 raise IntegrityError(f"character not multiplicative at generator {s}")
-        rng = random.Random(seed)
-        n = g.order
-        for _ in range(min(RANDOM_PAIR_SAMPLES, n * n)):
-            i, j = rng.randrange(n), rng.randrange(n)
-            if self.values[g.mul_ids(i, j)] != self.values[i] * self.values[j]:
-                raise IntegrityError(f"character not multiplicative at pair ({i},{j})")
+        i, j = _random_pairs(g.order, seed)
+        bad = np.flatnonzero(vals[_product_ids(g, i, j)] != vals[i] * vals[j])
+        if len(bad):
+            raise IntegrityError(f"character not multiplicative at pair "
+                                 f"({i[bad[0]]},{j[bad[0]]})")
         return True
 
     def digest(self) -> str:
@@ -197,8 +222,9 @@ def character_twist(chi: Character, base: Automorphism) -> Automorphism:
     neg_ident = ModMatrix((-np.eye(g.dim, dtype=np.int64)) % g.m, g.modulus)
     if not g.contains(neg_ident):
         raise UnsupportedTwistError("-I is not in the group; character twist undefined")
-    neg = g.negation_table()
-    perm = np.where(chi.values == 1, base.perm, neg[base.perm])
+    # -I is central, so -phi(x) = phi(x) (-I): one gather along the word of -I
+    negated = g.times(base.perm, g.id_of(neg_ident))
+    perm = np.where(chi.values == 1, base.perm, negated)
     desc = {"kind": "character_twist", "character": chi.digest(),
             "base": base.descriptor}
     return Automorphism(g, perm, desc)
@@ -244,19 +270,23 @@ def load_character_file(g: FiniteGroup, path: str) -> Character:
     """Character file: one line per generator, "<hex canonical_key>=+1|-1"."""
     from .modring import canonical_key
 
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")  # newlines already translated
+    except ValueError as e:  # not UTF-8, or a NUL in the path
+        raise PreconditionError(f"cannot read character file {path!r}: {e}") from None
     table = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise PreconditionError(f"{path}:{lineno}: expected key=value")
-            key_hex, val = line.split("=", 1)
-            val = val.strip()
-            if val not in ("+1", "-1", "1"):
-                raise PreconditionError(f"{path}:{lineno}: value must be +1 or -1")
-            table[key_hex.strip().lower()] = 1 if val in ("+1", "1") else -1
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise PreconditionError(f"{path}:{lineno}: expected key=value")
+        key_hex, val = line.split("=", 1)
+        val = val.strip()
+        if val not in ("+1", "-1", "1"):
+            raise PreconditionError(f"{path}:{lineno}: value must be +1 or -1")
+        table[key_hex.strip().lower()] = 1 if val in ("+1", "1") else -1
     gen_values = []
     n_user = max(g.gen_source) + 1
     user_keys = [None] * n_user

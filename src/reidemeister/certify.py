@@ -146,9 +146,7 @@ def shift_bijection_check(g: FiniteGroup, phi: Automorphism, theta: int) -> Cert
     shifted = compose(inner(g, theta_mat), phi)
     p1 = twisted_classes(g, phi)
     p2 = twisted_classes(g, shifted)
-    theta_inv = g.elements[g.inverse_id(theta)]
-    ident = np.eye(g.dim, dtype=np.int64)
-    rmul = g.action_table(ident, theta_inv)
+    rmul = g.times(np.arange(g.order), g.inverse_id(theta))
     # image class labels under x -> x theta^-1, per source class
     image_label, well_defined = _class_map(p1.class_of, p2.class_of[rmul], p1.n_classes)
     bijective = (well_defined
@@ -170,8 +168,7 @@ def shift_bijection_check(g: FiniteGroup, phi: Automorphism, theta: int) -> Cert
 def _refined_partition(g: FiniteGroup, phi: Automorphism, h_ids: np.ndarray):
     """Orbits of y -> a y phi(a)^-1 for a in the subgroup H, using every
     element of H as a move (fixture-scale groups only)."""
-    moves = [g.action_table(g.elements[a], g.elements[g.inverse_id(phi.apply_id(a))])
-             for a in h_ids.tolist()]
+    moves = [g.move_table(a, g.inverse_id(phi.apply_id(a))) for a in h_ids.tolist()]
     return kernels.orbits(moves, g.order)
 
 

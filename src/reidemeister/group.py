@@ -52,23 +52,26 @@ class FiniteGroup:
 
     Built through generate_group; immutable afterwards.  generators holds
     the ids of the inverse-augmented generating set actually used for BFS.
+    right is the closure's right Cayley table: right[x, c] is the id of
+    x times generator c.  Every group action below is a chain of gathers
+    from it; action_table is the batched matmul-and-lookup reference.
     """
 
-    def __init__(self, elements, parents, parent_gens, index, gen_matrices, gen_source,
-                 modulus, symplectic):
+    def __init__(self, elements, parents, parent_gens, index, right, levels, gen_matrices,
+                 gen_source, modulus, symplectic):
         self.elements = elements  # (G, d, d) int64
         self.parents = parents
         self.parent_gens = parent_gens
         self._index = index  # raw element bytes -> id, filled by kernels.closure
+        self.right = right  # (G, k) int32
+        self.levels = levels  # BFS level L holds ids levels[L] <= x < levels[L + 1]
         self.gen_matrices = gen_matrices  # (k, d, d), inverse-augmented
         self.gen_source = gen_source  # aug index -> index into the user's list
         self.modulus = modulus
         self.symplectic = symplectic
         self.identity = 0
-        self.generators = self.ids_of(gen_matrices).tolist()
+        self.generators = right[0].tolist()
         self._inverse_ids = {}
-        self._left_tables = {}
-        self._negation = None
         self._lex_order = None
 
     @property
@@ -113,21 +116,51 @@ class FiniteGroup:
         return hit
 
     def action_table(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """ids of left @ x @ right over all elements x; raises IntegrityError on escape."""
-        key = (np.ascontiguousarray(left).tobytes(), np.ascontiguousarray(right).tobytes())
-        hit = self._left_tables.get(key)
-        if hit is None:
-            hit = kernels.action_table(self.elements, left, right, self.m, self._index)
-            self._left_tables[key] = hit
-        return hit
+        """ids of left @ x @ right over all elements x by batched matmul and
+        lookup; raises IntegrityError on escape.  The reference for the
+        gathered tables below."""
+        return kernels.action_table(self.elements, left, right, self.m, self._index)
 
-    def negation_table(self) -> np.ndarray:
-        """id of -x for every element x (requires -I in the group)."""
-        if self._negation is None:
-            d = self.dim
-            neg_ident = (-np.eye(d, dtype=np.int64)) % self.m
-            self._negation = self.action_table(neg_ident, np.eye(d, dtype=np.int64))
-        return self._negation
+    def word(self, w: int) -> list[int]:
+        """Generator columns c_1..c_L with w = g_{c_1} ... g_{c_L}: w's BFS path."""
+        cols = []
+        while w:
+            cols.append(int(self.parent_gens[w]))
+            w = int(self.parents[w])
+        return cols[::-1]
+
+    def times(self, tab: np.ndarray, w: int) -> np.ndarray:
+        """ids of x w for every id x in tab: one gather per letter of w's word."""
+        for c in self.word(w):
+            tab = self.right[tab, c]
+        return tab
+
+    def extend(self, images, start: int = 0) -> np.ndarray:
+        """ids of f(x) for every x, where f(identity) = start and
+        f(x' g_c) = f(x') images[c] along every BFS tree edge; built a BFS
+        level at a time, by gathers along the words of the images.
+
+        With images the generators this is left multiplication by start.
+        With start the identity and images the phi(g_c) it is the only
+        candidate for the homomorphism phi; only an edge check proves it one.
+        """
+        words = [self.word(int(a)) for a in images]
+        # letters[c] is the word of images[c], padded with -1
+        letters = np.full((len(words), max(map(len, words))), -1)
+        for c, word in enumerate(words):
+            letters[c, :len(word)] = word
+        tab = np.empty(self.order, dtype=np.int32)
+        tab[0] = start
+        for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
+            level = tab[self.parents[lo:hi]]
+            for col in letters[self.parent_gens[lo:hi]].T:
+                level = np.where(col < 0, level, self.right[level, col])
+            tab[lo:hi] = level
+        return tab
+
+    def move_table(self, s: int, w: int) -> np.ndarray:
+        """ids of s x w for every x: left multiplication by s, then w's word."""
+        return self.times(self.extend(self.generators, start=s), w)
 
     def lex_order(self) -> np.ndarray:
         """Element ids sorted by canonical_key (ascending).
@@ -197,28 +230,31 @@ def generate_group(gens, cap=DEFAULT_CAP, symplectic=None) -> FiniteGroup:
     pairs += [(i, g.entries) for i, g in enumerate(inverses)]
     aug, source = _dedupe(pairs)
     gen_stack = np.ascontiguousarray(np.stack(aug))
-    elements, parents, parent_gens, index = kernels.closure(gen_stack, mod.m, cap)
+    elements, parents, parent_gens, index, right, levels = kernels.closure(
+        gen_stack, mod.m, cap)
     if symplectic:
         J = symplectic_form(d // 2) % mod.m
         lhs = np.matmul(np.matmul(elements.transpose(0, 2, 1), J) % mod.m, elements) % mod.m
         if not np.all(lhs == J):
             bad = int(np.nonzero(np.any(lhs != J, axis=(1, 2)))[0][0])
             raise IntegrityError(f"element {bad} violates the symplectic condition")
-    return FiniteGroup(elements, parents, parent_gens, index, gen_stack, source, mod,
-                       symplectic)
+    return FiniteGroup(elements, parents, parent_gens, index, right, levels, gen_stack,
+                       source, mod, symplectic)
+
+
+def twisted_moves(g: FiniteGroup, phi) -> list[np.ndarray]:
+    """One move x -> s x phi(s)^-1 per augmented generator s, by gathers."""
+    return [g.move_table(s, g.inverse_id(phi.apply_id(s))) for s in g.generators]
 
 
 def twisted_classes(g: FiniteGroup, phi) -> Partition:
     """Partition of g into twisted conjugacy classes of phi.
 
     Orbits of the action a . x = a x phi(a)^-1, computed by kernels.orbits
-    with one move per augmented generator; classes are numbered in the
-    order of their least element id.  With phi the identity this is
-    ordinary conjugacy.
+    on twisted_moves; classes are numbered in the order of their least
+    element id.  With phi the identity this is ordinary conjugacy.
     """
-    moves = [g.action_table(g.elements[s], g.elements[g.inverse_id(phi.apply_id(s))])
-             for s in g.generators]
-    class_of, n_classes = kernels.orbits(moves, g.order)
+    class_of, n_classes = kernels.orbits(twisted_moves(g, phi), g.order)
     sizes = np.bincount(class_of, minlength=n_classes).astype(np.int64)
     order = g.lex_order()
     reps = order[np.unique(class_of[order], return_index=True)[1]]

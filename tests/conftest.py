@@ -76,8 +76,10 @@ def reference_closure(gens, m, cap):
     """Sequential BFS reference for kernels.closure: one product at a time,
     frontier-major and generator-minor, each new element taking the next id.
 
-    Returns (elements, parents, parent_gens); the kernel must match all
-    three bit for bit.
+    Returns (elements, parents, parent_gens, right, levels): right[x, j] is
+    the id of elements[x] @ gens[j], and BFS level L holds the ids
+    levels[L] <= x < levels[L + 1].  The kernel must match all five bit
+    for bit.
     """
     k, d, _ = gens.shape
     gens = gens % m
@@ -86,12 +88,16 @@ def reference_closure(gens, m, cap):
     index = {ident.tobytes(): 0}
     parents = [-1]
     parent_gens = [-1]
+    right = []
+    levels = [0]
     frontier = [0]
     while frontier:
+        levels.append(len(elems))
         stack = np.stack([elems[i] for i in frontier])
         prods = np.einsum("fij,gjk->fgik", stack, gens) % m
         new_frontier = []
         for a, i in enumerate(frontier):
+            row = []
             for j in range(k):
                 y = np.ascontiguousarray(prods[a, j])
                 key = y.tobytes()
@@ -103,12 +109,27 @@ def reference_closure(gens, m, cap):
                     elems.append(y)
                     parents.append(i)
                     parent_gens.append(j)
+                row.append(index[key])
+            right.append(row)
         frontier = new_frontier
     return (
         np.ascontiguousarray(np.stack(elems)),
         np.array(parents, dtype=np.int64),
         np.array(parent_gens, dtype=np.int64),
+        np.array(right, dtype=np.int32),
+        np.array(levels, dtype=np.int64),
     )
+
+
+def reference_character_values(group, gen_values):
+    """Per-element reference for Character.from_generator_values: each value
+    is its BFS parent's times its generator's, one element at a time."""
+    aug_values = [int(gen_values[src]) for src in group.gen_source]
+    vals = np.empty(group.order, dtype=np.int64)
+    vals[0] = 1
+    for i in range(1, group.order):
+        vals[i] = vals[group.parents[i]] * aug_values[group.parent_gens[i]]
+    return vals
 
 
 def union_find_labels(n, edges):

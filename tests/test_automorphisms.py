@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reidemeister as rm
-from reidemeister.automorphisms import parse_descriptor
+from conftest import reference_character_values
+from reidemeister.automorphisms import _from_generator_images, parse_descriptor
 from reidemeister.errors import (IntegrityError, PreconditionError,
                                  UnsupportedTwistError)
 
@@ -101,6 +102,16 @@ class TestCharacter:
         # dihedral generators: rotation (det 1), reflection (det -1)
         chi = rm.Character.from_generator_values(dihedral8, [1, -1])
         assert np.array_equal(chi.values, dihedral8_chi.values)
+        assert np.array_equal(chi.values, reference_character_values(dihedral8, [1, -1]))
+
+    @pytest.mark.parametrize("m", [6, 10, 12])
+    def test_level_walk_matches_per_element_loop(self, m):
+        # the S_3 sign character of SL(2, Z_2), pulled back along Z_m -> Z_2
+        g = rm.generate_group(rm.standard_generators(1, m))
+        chi = rm.Character.from_generator_values(g, [-1, -1])
+        want = reference_character_values(g, [-1, -1])
+        assert chi.values.dtype == want.dtype and np.array_equal(chi.values, want)
+        assert not chi.is_trivial
 
     def test_inconsistent_values_rejected(self, sp2_5):
         # Sp(2, Z_5) is perfect: no nontrivial character can exist
@@ -110,6 +121,37 @@ class TestCharacter:
     def test_bad_values_rejected(self, dihedral8):
         with pytest.raises(Exception):
             rm.Character.from_generator_values(dihedral8, [1, 2])
+
+
+class TestValidation:
+    def test_swap_rejected(self, sp2_5):
+        # a bijection fixing the identity that swaps two other elements
+        perm = np.arange(sp2_5.order)
+        perm[[1, 2]] = [2, 1]
+        with pytest.raises(IntegrityError, match="homomorphism property fails at gen"):
+            rm.Automorphism(sp2_5, perm, {"kind": "swap"})
+
+    def test_images_that_do_not_extend_rejected(self, sp2_5):
+        # both user generators sent to the first (and their inverses to its
+        # inverse): the extension agrees with itself on every BFS tree edge,
+        # so only the other Cayley edges can refute it
+        assert sp2_5.gen_source == [0, 1, 0, 1]  # columns a, b, a^-1, b^-1
+        a, _, a_inv, _ = sp2_5.generators
+        images = [a, a, a_inv, a_inv]
+        perm = sp2_5.extend(images)
+        for x in range(1, sp2_5.order):
+            parent, c = sp2_5.parents[x], sp2_5.parent_gens[x]
+            assert perm[x] == sp2_5.times(perm[[parent]], images[c])[0]
+        with pytest.raises(IntegrityError, match="homomorphism property fails at gen"):
+            _from_generator_images(sp2_5, images, {"kind": "bad"})
+
+    def test_sign_flip_needs_normalizer(self):
+        # <[[0, 1], [2, 1]]> over Z_3 is cyclic of order 6; its sign flip
+        # [[0, 2], [1, 1]] is not in it
+        g = rm.generate_group([rm.ModMatrix([[0, 1], [2, 1]], 3)])
+        assert g.order == 6
+        with pytest.raises(IntegrityError, match="not normalized by diag"):
+            rm.sign_flip(g)
 
 
 class TestCharacterTwist:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reidemeister import cli
+from reidemeister import cli, generate_group, standard_generators
 from reidemeister.cli import main
 from reidemeister.modring import ModMatrix, canonical_key
 
@@ -119,6 +123,74 @@ class TestCharacterFile:
         code, _, err = run(capsys, "twisted", "--modulus", "5",
                            "--aut", "twist:/nonexistent/char.txt")
         assert code == 2
+
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "char.txt"
+        path.write_bytes(b"\xff\xfe" + "0=+1\n".encode("utf-16-le"))
+        code, out, err = run(capsys, "twisted", "--modulus", "5",
+                             "--aut", f"twist:{path}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: PreconditionError: cannot read character file")
+        assert str(path) in err
+
+
+def _generator_keys(m):
+    """Hex canonical keys of the user generators of Sp(2, Z_m)."""
+    g = generate_group(standard_generators(1, m))
+    first = [g.gen_source.index(src) for src in range(max(g.gen_source) + 1)]
+    return [canonical_key(ModMatrix(g.gen_matrices[c], g.modulus)).hex() for c in first]
+
+
+KEYS = {m: _generator_keys(m) for m in (4, 5)}
+
+
+def _exit_status(argv):
+    """cli.main's exit status, with both output channels captured."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--no-header"])
+    return code, err.getvalue()
+
+
+@st.composite
+def character_file_bytes(draw, m):
+    """Raw bytes, or lines of key=value with keys and values that are valid,
+    near misses or noise."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    key = st.one_of(st.sampled_from(KEYS[m]), st.text(max_size=12))
+    value = st.one_of(st.sampled_from(["+1", "-1", "1"]), st.text(max_size=4))
+    line = st.one_of(st.tuples(key, value).map("=".join), st.text(max_size=20))
+    lines = draw(st.lists(line, max_size=4))
+    return "\n".join(lines).encode(draw(st.sampled_from(["utf-8", "utf-16", "latin-1"])),
+                                   errors="replace")
+
+
+class TestRandomInput:
+    """Every --aut descriptor and every twist: file either works or exits
+    with a message: status 0, 1 or 2, never 4 and never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["", "inner:", "twist:", "sign_flip", "identity"]),
+           st.text(max_size=40))
+    @example("twist:", "char\x00.txt")  # open() rejects the NUL with a ValueError
+    def test_descriptor_strings(self, prefix, rest):
+        code, err = _exit_status(["twisted", "--modulus", "5", f"--aut={prefix}{rest}"])
+        assert code in (0, 1, 2), err
+        assert code == 0 or err.startswith("error: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([4, 5]).flatmap(
+        lambda m: st.tuples(st.just(m), character_file_bytes(m))))
+    def test_character_files(self, tmp_path_factory, case):
+        m, data = case
+        path = tmp_path_factory.mktemp("char") / "char.txt"
+        path.write_bytes(data)
+        code, err = _exit_status(["twisted", "--modulus", str(m), f"--aut=twist:{path}"])
+        assert code in (0, 1, 2), err
+        assert code == 0 or err.startswith("error: ")
 
 
 class TestCertifyCommands:

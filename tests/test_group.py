@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 import reidemeister as rm
+from reidemeister import kernels
+from reidemeister.group import twisted_moves
 from reidemeister.errors import (CapacityError, IntegrityError, SingularMatrixError,
                                  StructuralError)
 
@@ -78,8 +80,8 @@ class TestGenerateGroup:
         n = sp2_5.order - 1
         index = {sp2_5.elements[i].tobytes(): i for i in range(n)}
         g = rm.FiniteGroup(sp2_5.elements[:n], sp2_5.parents[:n], sp2_5.parent_gens[:n],
-                           index, sp2_5.gen_matrices, sp2_5.gen_source, sp2_5.modulus,
-                           True)
+                           index, sp2_5.right[:n], sp2_5.levels, sp2_5.gen_matrices,
+                           sp2_5.gen_source, sp2_5.modulus, True)
         with pytest.raises(IntegrityError, match="escapes the group"):
             g.verify_closure()
 
@@ -175,6 +177,54 @@ class TestPartitions:
         for c in range(part.n_classes):
             members = [i for i in range(sp2_5.order) if part.class_of[i] == c]
             assert int(part.representatives[c]) == min(members, key=keys.__getitem__)
+
+
+class TestGatheredTables:
+    """Every action table is a chain of gathers from the right Cayley table;
+    the batched matmul-and-lookup action_table is only the reference."""
+
+    def test_no_matmul_tables_or_scalar_products(self, monkeypatch, sp2_7, dihedral8,
+                                                 dihedral8_chi):
+        def refuse(*args, **kwargs):
+            raise AssertionError("matmul-and-lookup table or scalar product used")
+
+        monkeypatch.setattr(kernels, "action_table", refuse)
+        monkeypatch.setattr(rm.FiniteGroup, "mul_ids", refuse)
+        phi = rm.sign_flip(sp2_7)
+        rm.twisted_classes(sp2_7, rm.compose(rm.inner(sp2_7, sp2_7.element(5)), phi))
+        assert rm.shift_bijection_check(sp2_7, phi, 11).verdict == "pass"
+        assert dihedral8_chi.validate()
+        base = rm.inner(dihedral8, dihedral8.element(1))
+        twisted = rm.character_twist(dihedral8_chi, base)
+        rm.twisted_classes(dihedral8, twisted)
+        assert rm.refined_split_check(dihedral8, base, dihedral8_chi).verdict == "pass"
+
+    def test_gathered_tables_match_reference(self, sp2_7, dihedral8):
+        ident = np.eye(2, dtype=np.int64)
+        for g in (sp2_7, dihedral8):
+            for phi in (rm.identity_automorphism(g), rm.sign_flip(g),
+                        rm.inner(g, g.element(3))):
+                for s, move in zip(g.generators, twisted_moves(g, phi)):
+                    w = g.inverse_id(phi.apply_id(s))
+                    ref = g.action_table(g.elements[s], g.elements[w])
+                    assert move.dtype == np.int32 and np.array_equal(move, ref)
+            for x in range(g.order):
+                assert np.array_equal(g.extend(g.generators, start=x),
+                                      g.action_table(g.elements[x], ident))
+                assert np.array_equal(g.times(np.arange(g.order), x),
+                                      g.action_table(ident, g.elements[x]))
+
+    def test_character_twist_negates_by_gathers(self, dihedral8, dihedral8_chi):
+        base = rm.inner(dihedral8, dihedral8.element(1))
+        ident = np.eye(2, dtype=np.int64)
+        neg = dihedral8.action_table((-ident) % 3, ident)
+        want = np.where(dihedral8_chi.values == 1, base.perm, neg[base.perm])
+        assert np.array_equal(rm.character_twist(dihedral8_chi, base).perm, want)
+
+    def test_extension_is_the_entrywise_sign_flip(self, sp2_7):
+        signs = np.array([[1, -1], [-1, 1]])
+        entrywise = sp2_7.ids_of((sp2_7.elements * signs) % sp2_7.m)
+        assert np.array_equal(rm.sign_flip(sp2_7).perm, entrywise)
 
 
 class TestRestrictTo:

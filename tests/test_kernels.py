@@ -1,6 +1,9 @@
 """The closure kernel against the sequential BFS reference in conftest: same
-elements, parents and parent_gens bit for bit, plus the kernel's errors; the
-orbit routine against the union-find in conftest, label for label."""
+elements, parents, parent_gens, right Cayley table and levels bit for bit,
+plus the kernel's errors; the orbit routine against the union-find in
+conftest, label for label."""
+
+import random
 
 import numpy as np
 import pytest
@@ -33,9 +36,9 @@ Z1009_GENS = [rm.ModMatrix([[1, 1], [0, 1]], 1009), rm.ModMatrix([[3, 0], [0, 1]
 
 
 def _assert_matches_reference(gens, m):
-    elems, parents, parent_gens, index = kernels.closure(gens, m, 10**7)
+    elems, parents, parent_gens, index, right, levels = kernels.closure(gens, m, 10**7)
     ref = reference_closure(gens, m, 10**7)
-    for got, want in zip((elems, parents, parent_gens), ref):
+    for got, want in zip((elems, parents, parent_gens, right, levels), ref):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     assert len(index) == len(elems)
@@ -83,11 +86,14 @@ def test_lex_order_is_canonical_key_order(z1009):
 def test_parent_factorization():
     m = 7
     gens = _sp_gens(1, m)
-    elems, parents, parent_gens, _ = kernels.closure(gens, m, 10**6)
+    elems, parents, parent_gens, _, right, _ = kernels.closure(gens, m, 10**6)
     assert len(elems) == 336
     assert parents[0] == -1 and parent_gens[0] == -1
     for i in range(1, len(elems)):
         assert np.array_equal((elems[parents[i]] @ gens[parent_gens[i]]) % m, elems[i])
+        assert right[parents[i], parent_gens[i]] == i
+    assert right.dtype == np.int32 and right.shape == (len(elems), len(gens))
+    assert np.array_equal(elems[right], np.matmul(elems[:, None], gens) % m)
 
 
 def test_capacity_error_message():
@@ -128,7 +134,7 @@ def _permutation_lists(n):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 64).flatmap(_permutation_lists))
-# one n-cycle whose ids rise along the move: labels propagate one step a round
+# one n-cycle whose ids rise along the move (the root-hooking case)
 @example((64, [list(range(1, 64)) + [0]]))
 def test_orbits_match_union_find(case):
     n, perms = case
@@ -138,3 +144,42 @@ def test_orbits_match_union_find(case):
     assert count == want_count
     assert labels.tolist() == want
     assert [t.tolist() for t in moves] == perms  # moves are not written to
+
+
+def test_closure_ids_stop_at_int32_limit(monkeypatch):
+    # ids and the Cayley table are int32: the closure must stop before an
+    # id could wrap, whatever cap it is given
+    monkeypatch.setattr(kernels, "ID_LIMIT", 50)
+    with pytest.raises(CapacityError) as e:
+        kernels.closure(_sp_gens(1, 7), 7, 10**7)
+    assert (e.value.cap, e.value.found) == (50, 50)
+
+
+class _CountingMoves(list):
+    """A move list that counts its iterations: orbits iterates its moves
+    once per round."""
+
+    rounds = 0
+
+    def __iter__(self):
+        self.rounds += 1
+        return super().__iter__()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4096), st.integers(1, 4), st.randoms(use_true_random=False))
+# one rising 4096-cycle: without root hooking this takes one round per element
+@example(4096, 1, random.Random(0))
+def test_orbit_rounds_on_rising_cycles(n, n_cycles, rnd):
+    # the ids are dealt into n_cycles sets, and each set, in ascending order,
+    # is one cycle of the move: every cycle rises along the move
+    colour = [rnd.randrange(n_cycles) for _ in range(n)]
+    move = np.arange(n)
+    for c in range(n_cycles):
+        ids = [x for x in range(n) if colour[x] == c]
+        move[ids] = np.roll(ids, -1)
+    moves = _CountingMoves([move])
+    labels, count = kernels.orbits(moves, n)
+    want, want_count = union_find_labels(n, [(x, int(move[x])) for x in range(n)])
+    assert (labels.tolist(), count) == (want, want_count)
+    assert moves.rounds <= 3 + int(np.log2(n))
