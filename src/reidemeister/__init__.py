@@ -4,7 +4,7 @@ for finite symplectic matrix groups over Z_m."""
 from .automorphisms import (Automorphism, Character, automorphism_order,
                             character_twist, compose, identity_automorphism,
                             inner, sign_flip)
-from .certify import (Certificate, SemidirectGroup, growth_scan,
+from .certify import (Certificate, SemidirectGroup, burnside_oracle, growth_scan,
                       prop32_certificate, quotient_epi_check,
                       refined_split_check, semidirect_oracle,
                       shift_bijection_check, thm33_block_certificate)
@@ -24,7 +24,8 @@ __all__ = [
     "IntegrityError", "KERNEL_BACKEND", "ModMatrix", "Modulus", "Partition",
     "PreconditionError", "SemidirectGroup", "SingularMatrixError",
     "StructuralError", "TorusElement", "UnsupportedTwistError",
-    "automorphism_order", "canonical_key", "character_twist", "class_count",
+    "automorphism_order", "burnside_oracle", "canonical_key", "character_twist",
+    "class_count",
     "compose", "det", "from_canonical_key", "generate_group", "growth_scan",
     "identity_automorphism", "inner", "is_symplectic", "mat_inverse", "mat_mul",
     "ordinary_classes", "prop32_certificate", "quotient_epi_check",

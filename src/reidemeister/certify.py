@@ -53,9 +53,13 @@ class Certificate:
 
 
 class SemidirectGroup:
-    """G x|_phi Z_m as pairs (element id, k), with the twisted product.
+    """G x|_phi Z_m as pairs (element id, k), with the twisted product
+    (g, k)(h, l) = (g phi^k(h), k + l).
 
     Never re-interned as matrices; only the conjugacy structure is needed.
+    Products are matmuls looked up in the element index: neither the
+    scalar mult nor the move tables (action_table) use the Cayley-table
+    gathers that twisted_classes is built on.
     """
 
     def __init__(self, base: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP):
@@ -64,47 +68,66 @@ class SemidirectGroup:
         self.m = phi.order()
         if base.order * self.m > cap:
             raise CapacityError(cap, base.order * self.m)
-        # phi_pow[k] = permutation of phi^k
-        self.phi_pow = [np.arange(base.order, dtype=np.int64)]
-        for _ in range(1, self.m):
-            self.phi_pow.append(phi.perm[self.phi_pow[-1]])
 
     @property
     def order(self) -> int:
         return self.base.order * self.m
 
+    def _phi_power(self, i: int, k: int) -> int:
+        """id of phi^k(i), phi applied k mod m times."""
+        for _ in range(k % self.m):
+            i = int(self.phi.perm[i])
+        return i
+
     def mult(self, a, b):
         g, k = a
         h, l = b
-        return (self.base.mul_ids(g, int(self.phi_pow[k % self.m][h])),
-                (k + l) % self.m)
+        elems = self.base.elements
+        prod = elems[g] @ elems[self._phi_power(h, k)] % self.base.m
+        return int(self.base.ids_of(prod[None])[0]), (k + l) % self.m
 
     def inv(self, a):
         g, k = a
-        ginv = self.base.inverse_id(g)
-        return (int(self.phi_pow[(-k) % self.m][ginv]), (-k) % self.m)
+        return self._phi_power(self.base.inverse_id(g), -k), (-k) % self.m
 
-    def conjugate(self, c, x):
-        return self.mult(self.mult(c, x), self.inv(c))
+    def coset_moves(self, k=1):
+        """Conjugation moves on the coset {(x, k)}, as id tables over x.
+
+        Conjugation by (s, 0) is x -> s x phi^k(s^-1), one per user
+        generator s; conjugation by (1, 1) is x -> phi(x), phi's own
+        permutation.  kernels.orbits needs no inverse moves.  Each
+        conjugator's table is checked at the coset point (identity, k)
+        against the scalar product mult/inv.
+        """
+        g = self.base
+        conjugators = [(s, 0) for s in _user_generators(g)]
+        moves = [g.action_table(g.elements[s],
+                                g.elements[self._phi_power(g.inverse_id(s), k)])
+                 for s, _ in conjugators]
+        if self.m > 1:
+            conjugators.append((g.identity, 1))
+            moves.append(self.phi.perm)
+        for c, table in zip(conjugators, moves):
+            y, kk = self.mult(self.mult(c, (g.identity, k)), self.inv(c))
+            if kk != k % self.m or y != table[g.identity]:
+                raise StructuralError(
+                    "conjugation in the semidirect product breaks its product rule")
+        return moves
 
     def coset_conjugacy_classes(self, k=1):
         """Ordinary-conjugacy class labels of the coset {(g, k)}: the orbits,
-        by kernels.orbits, of conjugation by the semidirect group's
-        generators, each move table built with the scalar product."""
-        conjugators = [(s, 0) for s in self.base.generators]
-        if self.m > 1:
-            conjugators += [(self.base.identity, 1), (self.base.identity, self.m - 1)]
-        n = self.base.order
-        moves = []
-        for c in conjugators:
-            table = np.empty(n, dtype=np.int64)
-            for x in range(n):
-                table[x], kk = self.conjugate(c, (x, k))
-                if kk != k % self.m:
-                    raise StructuralError(
-                        "conjugation changed the Z_m component; broken product")
-            moves.append(table)
-        return kernels.orbits(moves, n)
+        by kernels.orbits, of coset_moves(k)."""
+        return kernels.orbits(self.coset_moves(k), self.base.order)
+
+
+def _user_generators(g: FiniteGroup) -> list[int]:
+    """ids of the user's generators: the first augmented column of each
+    gen_source value (generate_group lists every generator before any
+    inverse, so that column holds the generator itself)."""
+    first = {}
+    for s, src in zip(g.generators, g.gen_source):
+        first.setdefault(src, s)
+    return list(first.values())
 
 
 def semidirect_oracle(g: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP) -> Certificate:
@@ -122,6 +145,30 @@ def semidirect_oracle(g: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP) -> Cer
                   "coset_conjugacy_class_count": coset_classes,
                   "semidirect_order": semi.order},
         verdict=PASS if twisted == coset_classes else FAIL,
+    )
+
+
+def burnside_oracle(g: FiniteGroup, phi: Automorphism) -> Certificate:
+    """Twisted class count of phi versus the number of ordinary conjugacy
+    classes C with phi(C) = C (twisted Burnside-Frobenius theorem for
+    finite groups; Fel'shtyn-Hill, K-Theory 8, 1994).  The ordinary classes
+    come from batched conjugation tables, not from twisted_classes."""
+    # the ordinary classes of G are the coset classes of G x| Z_1 at k = 0
+    class_of, n_classes = SemidirectGroup(
+        g, identity_automorphism(g), cap=g.order).coset_conjugacy_classes(k=0)
+    image, well_defined = _class_map(class_of, class_of[phi.perm], n_classes)
+    fixed = int(np.count_nonzero(image == np.arange(n_classes)))
+    twisted = class_count(twisted_classes(g, phi))
+    return Certificate(
+        claim_id="tbft-fixed-classes",
+        paper_anchor="twisted Burnside-Frobenius theorem (Fel'shtyn-Hill 1994)",
+        inputs={"modulus": g.m, "n": g.dim // 2, "group_order": g.order,
+                "automorphism": phi.descriptor},
+        computed={"twisted_class_count": twisted,
+                  "conjugacy_class_count": n_classes,
+                  "fixed_class_count": fixed,
+                  "class_map_well_defined": well_defined},
+        verdict=PASS if well_defined and twisted == fixed else FAIL,
     )
 
 
@@ -165,10 +212,22 @@ def shift_bijection_check(g: FiniteGroup, phi: Automorphism, theta: int) -> Cert
     )
 
 
-def _refined_partition(g: FiniteGroup, phi: Automorphism, h_ids: np.ndarray):
-    """Orbits of y -> a y phi(a)^-1 for a in the subgroup H, using every
-    element of H as a move (fixture-scale groups only)."""
-    moves = [g.move_table(a, g.inverse_id(phi.apply_id(a))) for a in h_ids.tolist()]
+def _refined_partition(g: FiniteGroup, phi: Automorphism, chi: Character):
+    """Orbits of y -> a y phi(a)^-1 for a in H = ker(chi), chi nontrivial.
+
+    The moves are H's Schreier generators t s rep(t s)^-1 (Schreier's
+    lemma): t runs over the transversal of least ids of each chi value, s
+    over the generators, and rep(x) is the transversal element of x's chi
+    value.  They generate H, so the orbits are those of every element of H.
+    """
+    transversal = [int(np.flatnonzero(chi.values == v)[0]) for v in (1, -1)]
+    products = g.right[transversal].ravel()  # t s for every t and s
+    schreier = set()
+    for v, rep in zip((1, -1), transversal):
+        ts = products[chi.values[products] == v]
+        schreier.update(g.times(ts, g.inverse_id(rep)).tolist())
+    schreier.discard(g.identity)
+    moves = [g.move_table(a, g.inverse_id(phi.apply_id(a))) for a in sorted(schreier)]
     return kernels.orbits(moves, g.order)
 
 
@@ -177,8 +236,7 @@ def refined_split_check(g: FiniteGroup, phi: Automorphism, chi: Character) -> Ce
     H-refined subsets, and each (chi.phi)-class is a union of them."""
     if chi.is_trivial:
         raise PreconditionError("refined split check needs a nontrivial character")
-    h_ids = chi.kernel_ids()
-    refined, n_refined = _refined_partition(g, phi, h_ids)
+    refined, n_refined = _refined_partition(g, phi, chi)
     p_phi = twisted_classes(g, phi)
     p_twist = twisted_classes(g, character_twist(chi, phi))
     # distinct (phi-class, refined subset) pairs, counted per phi-class

@@ -79,6 +79,13 @@ def build_parser():
     p.add_argument("--aut", default="sign_flip")
     _add_common(p)
 
+    p = sub.add_parser("oracle-burnside",
+                       help="twisted Burnside-Frobenius count: phi-invariant classes")
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--modulus", type=int, required=True)
+    p.add_argument("--aut", default="sign_flip")
+    _add_common(p)
+
     p = sub.add_parser("oracle-shift", help="inner-shift class bijection check")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--modulus", type=int, required=True)
@@ -198,6 +205,9 @@ def run(args) -> int:
         g = _sp_group(args)
         phi = parse_descriptor(g, args.aut)
         cert = certify.semidirect_oracle(g, phi, cap=args.cap)
+    elif args.command == "oracle-burnside":
+        g = _sp_group(args)
+        cert = certify.burnside_oracle(g, parse_descriptor(g, args.aut))
     elif args.command == "oracle-shift":
         if args.trials < 1:
             raise PreconditionError(f"--trials must be >= 1, got {args.trials}")

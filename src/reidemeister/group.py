@@ -54,7 +54,8 @@ class FiniteGroup:
     the ids of the inverse-augmented generating set actually used for BFS.
     right is the closure's right Cayley table: right[x, c] is the id of
     x times generator c.  Every group action below is a chain of gathers
-    from it; action_table is the batched matmul-and-lookup reference.
+    from it; action_table, batched matmul and lookup, is the oracles' own
+    table path and the tests' reference.
     """
 
     def __init__(self, elements, parents, parent_gens, index, right, levels, gen_matrices,
@@ -71,7 +72,6 @@ class FiniteGroup:
         self.symplectic = symplectic
         self.identity = 0
         self.generators = right[0].tolist()
-        self._inverse_ids = {}
         self._lex_order = None
 
     @property
@@ -107,18 +107,13 @@ class FiniteGroup:
         return self._index[np.ascontiguousarray(prod).tobytes()]
 
     def inverse_id(self, i: int) -> int:
-        hit = self._inverse_ids.get(i)
-        if hit is None:
-            inv = mat_inverse(self.element(i))
-            hit = self._index[inv.entries.tobytes()]
-            self._inverse_ids[i] = hit
-            self._inverse_ids[hit] = i
-        return hit
+        return self._index[mat_inverse(self.element(i)).entries.tobytes()]
 
     def action_table(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """ids of left @ x @ right over all elements x by batched matmul and
-        lookup; raises IntegrityError on escape.  The reference for the
-        gathered tables below."""
+        lookup; raises IntegrityError on escape.  The semidirect and Burnside
+        oracles build their tables with it, apart from the gathered tables
+        below, and the tests compare those with it."""
         return kernels.action_table(self.elements, left, right, self.m, self._index)
 
     def word(self, w: int) -> list[int]:
@@ -166,13 +161,15 @@ class FiniteGroup:
         """Element ids sorted by canonical_key (ascending).
 
         All keys share their header, so they sort as their bodies do: the
-        entries at canonical width, little-endian, compared bytewise.
+        entries at canonical width, little-endian, compared bytewise.  The
+        body bytes, zero-padded to 8-byte words and read big-endian, compare
+        as those words do, first word first: one np.lexsort.
         """
         if self._lex_order is None:
             body = self.elements.reshape(self.order, -1).astype(entry_dtype(self.m))
-            self._lex_order = np.argsort(
-                body.view(np.dtype((np.void, body.itemsize * body.shape[1]))).ravel(),
-                kind="stable")
+            raw = body.view(np.uint8)
+            words = np.pad(raw, ((0, 0), (0, -raw.shape[1] % 8))).view(">u8")
+            self._lex_order = np.lexsort(words.T[::-1])
         return self._lex_order
 
     def verify_closure(self, exhaustive_limit=2000, samples=10**5, seed=0):

@@ -104,9 +104,13 @@ def action_table(elems, left, right, m, index) -> np.ndarray:
     """ids of (left @ x @ right) mod m for every x in elems.
 
     Raises IntegrityError naming the first x whose image is not indexed.
+    Built CHUNK elements at a time, which bounds the transient products
+    and lookup keys.
     """
-    prods = np.matmul(np.matmul(left % m, elems) % m, right % m) % m
-    ids = lookup(prods, index)
+    left, right = left % m, right % m
+    ids = np.concatenate([
+        lookup(np.matmul(np.matmul(left, elems[lo:lo + CHUNK]) % m, right) % m, index)
+        for lo in range(0, len(elems), CHUNK)])
     bad = np.flatnonzero(ids < 0)
     if len(bad):
         raise IntegrityError(f"action image of element {bad[0]} is not in the group")

@@ -7,6 +7,7 @@ from hypothesis import assume, reject
 from hypothesis import strategies as st
 
 import reidemeister as rm
+from reidemeister import kernels
 
 # criterion number -> verdict line, filled by tests/test_acceptance.py
 ACCEPTANCE_RESULTS = {}
@@ -72,6 +73,21 @@ def quaternion8():
     return g
 
 
+@pytest.fixture(scope="session")
+def sp4_2():
+    return rm.generate_group(rm.standard_generators(2, 2))
+
+
+@pytest.fixture(scope="session")
+def dihedral8_outer(dihedral8):
+    # conjugation by u, outside the group but normalizing it (u lies in
+    # the semidihedral group of order 16 in GL(2, Z_3)): order 4, so the
+    # semidirect product has Z_4 on top
+    phi = rm.inner(dihedral8, rm.ModMatrix([[1, 1], [2, 1]], 3))
+    assert phi.order() == 4
+    return phi
+
+
 def reference_closure(gens, m, cap):
     """Sequential BFS reference for kernels.closure: one product at a time,
     frontier-major and generator-minor, each new element taking the next id.
@@ -130,6 +146,37 @@ def reference_character_values(group, gen_values):
     for i in range(1, group.order):
         vals[i] = vals[group.parents[i]] * aug_values[group.parent_gens[i]]
     return vals
+
+
+def reference_coset_move(semi, conjugator, k):
+    """Scalar reference for SemidirectGroup.coset_moves: the id table of
+    x -> c (x, k) c^-1 in G x|_phi Z_m, built one element at a time with
+    mul_ids and the product (g, j)(h, l) = (g phi^j(h), j + l).  Asserts
+    that every conjugate stays in the coset."""
+    g, perm, m = semi.base, semi.phi.perm, semi.m
+
+    def power(i, j):
+        for _ in range(j % m):
+            i = int(perm[i])
+        return i
+
+    def mult(a, b):
+        return g.mul_ids(a[0], power(b[0], a[1])), (a[1] + b[1]) % m
+
+    c_inv = (power(g.inverse_id(conjugator[0]), -conjugator[1]), -conjugator[1] % m)
+    table = np.empty(g.order, dtype=np.int64)
+    for x in range(g.order):
+        table[x], j = mult(mult(conjugator, (x, k)), c_inv)
+        assert j == k % m
+    return table
+
+
+def reference_refined_partition(g, phi, chi):
+    """Refined partition of refined_split_check with every element a of
+    H = ker(chi) as a move y -> a y phi(a)^-1."""
+    moves = [g.move_table(a, g.inverse_id(phi.apply_id(a)))
+             for a in chi.kernel_ids().tolist()]
+    return kernels.orbits(moves, g.order)
 
 
 def union_find_labels(n, edges):

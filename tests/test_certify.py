@@ -4,8 +4,35 @@ import numpy as np
 import pytest
 
 import reidemeister as rm
-from reidemeister.certify import FAIL, INCONCLUSIVE, PASS, _class_map, growth_rows_csv
+from conftest import reference_coset_move, reference_refined_partition
+from reidemeister import certify
+from reidemeister.certify import (FAIL, INCONCLUSIVE, PASS, _class_map, _refined_partition,
+                                  _user_generators, growth_rows_csv)
 from reidemeister.errors import PreconditionError, StructuralError
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("scalar product used")
+
+
+def _nontrivial_inner(g):
+    # conjugation by a non-central element is a nontrivial inner map
+    return next(rm.inner(g, g.element(i)) for i in range(g.order)
+                if not rm.inner(g, g.element(i)).is_identity)
+
+
+def _merge_two_classes(monkeypatch):
+    """Make certify's twisted_classes merge its classes 0 and 1."""
+    real = certify.twisted_classes
+
+    def merged(g, phi):
+        part = real(g, phi)
+        class_of = np.where(part.class_of == 1, 0, part.class_of)
+        class_of = np.where(class_of > 1, class_of - 1, class_of)
+        return rm.Partition(class_of, part.representatives[1:],
+                            np.bincount(class_of), part.kind, part.automorphism)
+
+    monkeypatch.setattr(certify, "twisted_classes", merged)
 
 
 class TestClassMap:
@@ -43,6 +70,56 @@ class TestSemidirectOracle:
             cert = rm.semidirect_oracle(g, phi)
             assert cert.verdict == PASS
 
+    def test_batched_path_needs_no_scalar_products(self, monkeypatch, sp2_5, sp2_7,
+                                                  dihedral8, quaternion8, sp4_2):
+        cases = [(g, rm.sign_flip(g)) for g in (sp2_5, sp2_7, sp4_2)]
+        cases += [(g, _nontrivial_inner(g)) for g in (dihedral8, quaternion8)]
+        monkeypatch.setattr(rm.FiniteGroup, "mul_ids", _refuse)
+        for g, phi in cases:
+            assert rm.semidirect_oracle(g, phi).verdict == PASS
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_coset_moves_match_scalar_reference(self, k, sp2_7, dihedral8, quaternion8,
+                                                dihedral8_outer):
+        cases = [(sp2_7, rm.sign_flip(sp2_7)), (dihedral8, dihedral8_outer),
+                 (dihedral8, rm.identity_automorphism(dihedral8)),
+                 (quaternion8, _nontrivial_inner(quaternion8))]
+        for g, phi in cases:
+            semi = rm.SemidirectGroup(g, phi)
+            conjugators = [(s, 0) for s in _user_generators(g)]
+            if semi.m > 1:
+                conjugators.append((g.identity, 1))
+            moves = semi.coset_moves(k)
+            assert len(moves) == len(conjugators)
+            for c, move in zip(conjugators, moves):
+                assert np.array_equal(move, reference_coset_move(semi, c, k))
+
+    def test_order_four_outer_automorphism(self, dihedral8, dihedral8_outer):
+        cert = rm.semidirect_oracle(dihedral8, dihedral8_outer)
+        assert cert.verdict == PASS
+        assert cert.inputs["automorphism_order"] == 4
+        assert cert.computed["semidirect_order"] == 32
+
+    def test_one_move_per_user_generator(self, sp2_7):
+        # 2 user generators plus their inverses are augmented to 4 columns
+        assert len(sp2_7.generators) == 4
+        assert _user_generators(sp2_7) == sp2_7.generators[:2]
+        assert len(rm.SemidirectGroup(sp2_7, rm.sign_flip(sp2_7)).coset_moves(1)) == 3
+
+    def test_broken_table_breaks_product_rule(self, monkeypatch, dihedral8):
+        real = rm.FiniteGroup.action_table
+        monkeypatch.setattr(rm.FiniteGroup, "action_table",
+                            lambda g, left, right: np.roll(real(g, left, right), 1))
+        with pytest.raises(StructuralError):
+            rm.semidirect_oracle(dihedral8, rm.sign_flip(dihedral8))
+
+    def test_merged_classes_fail(self, monkeypatch, sp2_7):
+        _merge_two_classes(monkeypatch)
+        cert = rm.semidirect_oracle(sp2_7, rm.sign_flip(sp2_7))
+        assert cert.computed["twisted_class_count"] == 6
+        assert cert.computed["coset_conjugacy_class_count"] == 7
+        assert cert.verdict == FAIL
+
     def test_semidirect_group_law(self, dihedral8):
         phi = rm.inner(dihedral8, dihedral8.element(1))
         semi = rm.SemidirectGroup(dihedral8, phi)
@@ -56,6 +133,57 @@ class TestSemidirectOracle:
             c = (rng.randrange(n), rng.randrange(semi.m))
             assert semi.mult(semi.mult(a, b), c) == semi.mult(a, semi.mult(b, c))
             assert semi.mult(a, semi.inv(a)) == (dihedral8.identity, 0)
+
+
+class TestBurnsideOracle:
+    def test_every_group(self, sp2_5, sp2_7, sp2_13, dihedral8, gl2_z2, quaternion8,
+                         sp4_2, dihedral8_outer):
+        cases = [(dihedral8, dihedral8_outer)]
+        for g in (sp2_5, sp2_7, sp2_13, dihedral8, gl2_z2, quaternion8, sp4_2):
+            cases += [(g, rm.identity_automorphism(g)), (g, _nontrivial_inner(g))]
+            try:
+                cases.append((g, rm.sign_flip(g)))
+            except rm.IntegrityError:  # not normalized by diag(1, -1)
+                pass
+        for g, phi in cases:
+            cert = rm.burnside_oracle(g, phi)
+            assert cert.verdict == PASS
+            assert cert.computed["class_map_well_defined"]
+            assert cert.computed["fixed_class_count"] == \
+                rm.class_count(rm.twisted_classes(g, phi))
+
+    def test_counts(self, sp2_7):
+        cert = rm.burnside_oracle(sp2_7, rm.sign_flip(sp2_7))
+        assert cert.computed == {"twisted_class_count": 7, "conjugacy_class_count": 11,
+                                 "fixed_class_count": 7, "class_map_well_defined": True}
+
+    def test_identity_fixes_every_class(self, sp2_5):
+        cert = rm.burnside_oracle(sp2_5, rm.identity_automorphism(sp2_5))
+        assert cert.computed["fixed_class_count"] == cert.computed["conjugacy_class_count"]
+
+    def test_needs_no_scalar_products(self, monkeypatch, sp2_7):
+        phi = rm.sign_flip(sp2_7)
+        monkeypatch.setattr(rm.FiniteGroup, "mul_ids", _refuse)
+        assert rm.burnside_oracle(sp2_7, phi).verdict == PASS
+
+    def test_merged_classes_fail(self, monkeypatch, sp2_7):
+        _merge_two_classes(monkeypatch)
+        cert = rm.burnside_oracle(sp2_7, rm.sign_flip(sp2_7))
+        assert cert.computed["twisted_class_count"] == 6
+        assert cert.computed["fixed_class_count"] == 7
+        assert cert.verdict == FAIL
+
+    def test_not_class_preserving_fails(self, sp2_5):
+        # a bijection fixing the identity but mixing two classes is not an
+        # automorphism; the class map is not well defined
+        ordinary = rm.ordinary_classes(sp2_5)
+        a, b = (int(np.flatnonzero(ordinary.class_of == c)[0]) for c in (1, 2))
+        perm = np.arange(sp2_5.order)
+        perm[[a, b]] = [b, a]
+        fake = rm.Automorphism(sp2_5, perm, {"kind": "swap"}, _validated=True)
+        cert = rm.burnside_oracle(sp2_5, fake)
+        assert cert.computed["class_map_well_defined"] is False
+        assert cert.verdict == FAIL
 
 
 class TestShiftBijection:
@@ -87,6 +215,16 @@ class TestRefinedSplit:
         cert = rm.refined_split_check(dihedral8, phi, dihedral8_chi)
         assert cert.verdict == PASS
         assert cert.computed["twist_classes_are_unions"]
+
+    @pytest.mark.parametrize("m", [6, 10, 12])
+    def test_schreier_moves_match_every_element(self, m):
+        g = rm.generate_group(rm.standard_generators(1, m))
+        chi = rm.Character.from_generator_values(g, [-1, -1])
+        for phi in (rm.identity_automorphism(g), rm.sign_flip(g)):
+            labels, count = _refined_partition(g, phi, chi)
+            want, want_count = reference_refined_partition(g, phi, chi)
+            assert count == want_count
+            assert np.array_equal(labels, want)
 
     def test_trivial_character_rejected(self, dihedral8):
         with pytest.raises(PreconditionError):

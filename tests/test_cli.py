@@ -241,6 +241,23 @@ class TestOracleCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    def test_burnside(self, capsys):
+        code, out, _ = run(capsys, "oracle-burnside", "--modulus", "13", "--no-header")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["claim_id"] == "tbft-fixed-classes"
+        assert payload["verdict"] == "pass"
+        assert payload["computed"]["fixed_class_count"] == 17
+
+    def test_burnside_text_and_bad_descriptor(self, capsys):
+        code, out, _ = run(capsys, "oracle-burnside", "--modulus", "7", "--aut",
+                           "inner:1,1,0,1", "--output", "text", "--no-header")
+        assert code == 0
+        assert "verdict: pass" in out.splitlines()
+        code, _, err = run(capsys, "oracle-burnside", "--modulus", "7", "--aut", "frob")
+        assert code == 2
+        assert "error" in err
+
     def test_shift(self, capsys):
         code, out, _ = run(capsys, "oracle-shift", "--modulus", "5",
                            "--trials", "3", "--no-header")

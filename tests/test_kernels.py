@@ -83,6 +83,19 @@ def test_lex_order_is_canonical_key_order(z1009):
     assert by_entries.tolist() != want
 
 
+def test_representatives_are_least_canonical_keys(z1009):
+    # the twisted-class representatives at m > 256 are the members with the
+    # least canonical_key, as the canonical keys themselves sort
+    part = rm.twisted_classes(z1009, rm.inner(z1009, z1009.element(5)))
+    keys = [rm.canonical_key(z1009.element(i)) for i in range(z1009.order)]
+    least = {}
+    for i, c in enumerate(part.class_of.tolist()):
+        if c not in least or keys[i] < keys[least[c]]:
+            least[c] = i
+    assert part.n_classes > 1
+    assert part.representatives.tolist() == [least[c] for c in range(part.n_classes)]
+
+
 def test_parent_factorization():
     m = 7
     gens = _sp_gens(1, m)
