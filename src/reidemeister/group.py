@@ -63,7 +63,7 @@ class FiniteGroup:
         self.elements = elements  # (G, d, d) int64
         self.parents = parents
         self.parent_gens = parent_gens
-        self._index = index  # raw element bytes -> id, filled by kernels.closure
+        self._index = index  # kernels.Index: the elements' sorted radix codes
         self.right = right  # (G, k) int32
         self.levels = levels  # BFS level L holds ids levels[L] <= x < levels[L + 1]
         self.gen_matrices = gen_matrices  # (k, d, d), inverse-augmented
@@ -90,24 +90,26 @@ class FiniteGroup:
         return ModMatrix(self.elements[i], self.modulus)
 
     def id_of(self, mat: ModMatrix) -> int:
-        try:
-            return self._index[mat.entries.tobytes()]
-        except KeyError:
-            raise StructuralError("matrix is not an element of this group") from None
+        return self._id(mat.entries)
 
     def contains(self, mat: ModMatrix) -> bool:
-        return mat.entries.tobytes() in self._index
+        return self.ids_of(mat.entries[None])[0] >= 0
 
     def ids_of(self, mats) -> np.ndarray:
         """ids of a (n, d, d) stack of matrices; -1 where one is not an element."""
         return kernels.lookup(mats, self._index)
 
+    def _id(self, entries) -> int:
+        i = int(self.ids_of(entries[None])[0])
+        if i < 0:
+            raise StructuralError("matrix is not an element of this group")
+        return i
+
     def mul_ids(self, i: int, j: int) -> int:
-        prod = (self.elements[i] @ self.elements[j]) % self.m
-        return self._index[np.ascontiguousarray(prod).tobytes()]
+        return self._id((self.elements[i] @ self.elements[j]) % self.m)
 
     def inverse_id(self, i: int) -> int:
-        return self._index[mat_inverse(self.element(i)).entries.tobytes()]
+        return self._id(mat_inverse(self.element(i)).entries)
 
     def action_table(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """ids of left @ x @ right over all elements x by batched matmul and
@@ -192,19 +194,6 @@ class FiniteGroup:
         return True
 
 
-def _dedupe(mats):
-    seen = set()
-    out = []
-    src = []
-    for idx, g in mats:
-        k = np.ascontiguousarray(g).tobytes()
-        if k not in seen:
-            seen.add(k)
-            out.append(g)
-            src.append(idx)
-    return out, src
-
-
 def generate_group(gens, cap=DEFAULT_CAP, symplectic=None) -> FiniteGroup:
     """Enumerate the group generated by gens by breadth-first closure.
 
@@ -223,18 +212,21 @@ def generate_group(gens, cap=DEFAULT_CAP, symplectic=None) -> FiniteGroup:
     inverses = [mat_inverse(g) for g in gens]  # raises SingularMatrixError
     if symplectic is None:
         symplectic = all(is_symplectic(g) for g in gens)
-    pairs = [(i, g.entries) for i, g in enumerate(gens)]
-    pairs += [(i, g.entries) for i, g in enumerate(inverses)]
-    aug, source = _dedupe(pairs)
-    gen_stack = np.ascontiguousarray(np.stack(aug))
+    # the generators, then their inverses, each kept at its first occurrence
+    stack = np.stack([g.entries for g in [*gens, *inverses]])
+    first = np.sort(np.unique(stack.reshape(len(stack), -1), axis=0, return_index=True)[1])
+    gen_stack = np.ascontiguousarray(stack[first])
+    source = [int(i) % len(gens) for i in first]
     elements, parents, parent_gens, index, right, levels = kernels.closure(
         gen_stack, mod.m, cap)
     if symplectic:
         J = symplectic_form(d // 2) % mod.m
-        lhs = np.matmul(np.matmul(elements.transpose(0, 2, 1), J) % mod.m, elements) % mod.m
-        if not np.all(lhs == J):
-            bad = int(np.nonzero(np.any(lhs != J, axis=(1, 2)))[0][0])
-            raise IntegrityError(f"element {bad} violates the symplectic condition")
+        for lo in range(0, len(elements), kernels.CHUNK):  # bounds the transient products
+            x = elements[lo:lo + kernels.CHUNK]
+            lhs = np.matmul(np.matmul(x.transpose(0, 2, 1), J) % mod.m, x) % mod.m
+            bad = np.flatnonzero(np.any(lhs != J, axis=(1, 2)))
+            if len(bad):
+                raise IntegrityError(f"element {lo + bad[0]} violates the symplectic condition")
     return FiniteGroup(elements, parents, parent_gens, index, right, levels, gen_stack,
                        source, mod, symplectic)
 

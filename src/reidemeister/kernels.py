@@ -2,101 +2,170 @@
 right Cayley table it builds, batched group-action tables and orbits of
 permutation moves.
 
-The element index is a dict from an element's raw row-major int64 bytes to
-its id.  closure fills it once; every batch lookup goes through lookup(),
-scalar lookups index the dict directly.
+The element index keys each matrix by its radix code: the row-major
+entries as the digits of one base-m number.  It keeps the sorted codes
+and their argsort, the ids, and lookup() finds a stack of matrices by
+binary search with np.searchsorted.  Where a code reaches 2**63, the
+digits are packed into several big-endian uint64 words, and each row's
+words are one np.void key that sorts, searches and compares the same way.
 """
 
-from itertools import repeat
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, IntegrityError
+from .errors import CapacityError, IntegrityError, StructuralError
 
 CHUNK = 1 << 12  # frontier elements multiplied per batched matmul; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
 
 
-def _row_keys(mats) -> np.ndarray:
-    """Index keys of a (n, d, d) stack: one np.void row of raw int64 bytes each."""
-    flat = np.ascontiguousarray(mats, dtype=np.int64).reshape(len(mats), -1)
-    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel()
+def _codes(flat, m) -> np.ndarray:
+    """Radix codes of the rows of an (n, D) int64 array with entries in [0, m).
+
+    Row r's digits are packed `per` at a time into int64 words, with
+    m**per < 2**63.  One word is the code itself.  Several are stored
+    big-endian and each row's words viewed as one np.void key, which
+    compares bytewise as the words do, first word first.
+    """
+    n, width = flat.shape
+    per = 1
+    while per < width and m ** (per + 1) < 2**63:
+        per += 1
+    words = -(-width // per)
+    if words * per > width:
+        flat = np.pad(flat, ((0, 0), (0, words * per - width)))
+    code = flat.reshape(n * words, per) @ np.array([m**i for i in range(per)], dtype=np.int64)
+    if words == 1:
+        return code
+    return code.astype(">u8").view(np.dtype((np.void, 8 * words)))
+
+
+@dataclass(frozen=True)
+class Index:
+    """The element index of a group of dim x dim matrices over Z_m: keys
+    holds every element's radix code in ascending order, ids[i] the id of
+    keys[i]."""
+
+    m: int
+    dim: int
+    keys: np.ndarray
+    ids: np.ndarray
+
+
+def build_index(elements, m) -> Index:
+    """The Index of a (n, d, d) stack of distinct reduced matrices; id i is row i."""
+    n, d, _ = elements.shape
+    keys = _codes(elements.reshape(n, d * d), m)
+    ids = np.argsort(keys)
+    return Index(m, d, keys[ids], ids)
+
+
+def _search(keys, ids, needles) -> np.ndarray:
+    """ids of the needles among the sorted keys (ids[i] is keys[i]'s); -1 where absent."""
+    if not len(keys):
+        return np.full(len(needles), -1, dtype=np.int64)
+    pos = np.searchsorted(keys, needles)
+    np.minimum(pos, len(keys) - 1, out=pos)
+    return np.where(keys[pos] == needles, ids[pos], -1)
 
 
 def lookup(mats, index) -> np.ndarray:
-    """Element ids of a (n, d, d) stack of matrices; -1 where one is not indexed."""
-    keys = _row_keys(mats).tolist()  # void rows come out as bytes
-    return np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+    """Element ids of a (n, d, d) stack of matrices; -1 where one is not an
+    element, including any matrix with an entry outside [0, m), which the
+    index does not hold (a radix code would carry it into the next digit)."""
+    mats = np.ascontiguousarray(mats, dtype=np.int64)
+    d, m = index.dim, index.m
+    if mats.shape[1:] != (d, d):
+        return np.full(len(mats), -1, dtype=np.int64)
+    flat = mats.reshape(len(mats), d * d)
+    ids = _search(index.keys, index.ids, _codes(flat, m))
+    ids[~(flat.view(np.uint64) < m).all(axis=1)] = -1  # negatives read as huge
+    return ids
 
 
 def closure(gens, m, cap):
     """Breadth-first closure of the identity under right-multiplication by gens.
 
-    gens: (k, d, d) int64 array of move matrices (already inverse-augmented).
+    gens: (k, d, d) int64 array of move matrices, closed under inverses.
     Returns (elements, parents, parent_gens, index, right, levels) where
     elements[i] = elements[parents[i]] @ gens[parent_gens[i]] mod m,
-    element 0 is the identity (parents[0] = parent_gens[0] = -1), index
-    maps each element's raw bytes to its id, right is the (n, k) int32
-    right Cayley table (right[x, c] is the id of elements[x] @ gens[c]) and
-    BFS level L holds the ids levels[L] <= x < levels[L + 1].
+    element 0 is the identity (parents[0] = parent_gens[0] = -1), index is
+    the elements' Index, right is the (n, k) int32 right Cayley table
+    (right[x, c] is the id of elements[x] @ gens[c]) and BFS level L holds
+    the ids levels[L] <= x < levels[L + 1].
 
-    The frontier is expanded a level at a time, in chunks.  A sequential BFS
-    scans a level's products frontier-major, generator-minor, and gives a new
-    element the next id and the parent of its first occurrence; taking the
-    first occurrences of the unseen products in that order reproduces its
-    ids, parents and parent_gens exactly.  Each product's id goes into the
-    Cayley table; a product that leads back to its factor's BFS parent
-    needs no probe.  The ids are int32, so the closure stops at ID_LIMIT
-    elements whatever the cap.
+    The frontier is expanded a level at a time, its products computed in
+    chunks.  The generators are closed under inverses, so a product x g of
+    a level-L element lies in level L - 1, L or L + 1: each level's codes
+    are sorted once and searched among the sorted codes of levels L - 1
+    and L only (frontier search; Korf, Zhang, Thayer and Hohwald, J. ACM
+    52, 2005).  The misses are the new elements, and equal codes among
+    them form runs.  A sequential BFS scans a level's products
+    frontier-major, generator-minor, and gives a new element the next id
+    and the parent of its first occurrence; ranking each run's least scan
+    position reproduces its ids, parents and parent_gens exactly.  A
+    product that leads back to its factor's BFS parent needs no search.
+    The ids are int32, so the closure stops at ID_LIMIT elements whatever
+    the cap.
     """
     k, d, _ = gens.shape
     gens = gens % m
     cap = min(cap, ID_LIMIT)
     ident = np.eye(d, dtype=np.int64)
-    # inv_col[c]: the column of gens[c]^-1, -1 if absent; inv_col[-1] = -1 for the root
+    # inv_col[c]: the column of gens[c]^-1; inv_col[-1] = -1 for the root
     pairs = np.all(np.matmul(gens[:, None], gens) % m == ident, axis=(2, 3))
-    inv_col = np.append(np.where(pairs.any(axis=1), pairs.argmax(axis=1), -1), -1)
-    index = {ident.tobytes(): 0}
+    if not pairs.any(axis=1).all():
+        raise StructuralError("closure needs a generator set closed under inverses")
+    inv_col = np.append(pairs.argmax(axis=1), -1)
     root = np.array([-1], dtype=np.int64)
     elements, parents, parent_gens, right = [ident[None]], [root], [root], []
-    frontier, frontier_start, levels = elements[0], 0, [0]
+    # the sorted codes of levels L - 1 and L, and their ids
+    cur = (_codes(ident.reshape(1, -1), m), np.zeros(1, dtype=np.int64))
+    prev = (cur[0][:0], cur[1][:0])
+    frontier, frontier_start, count, levels = elements[0], 0, 1, [0]
     up, up_gens = root, root  # the frontier's parents and parent_gens
     while len(frontier):
-        level_start, level, pieces = len(index), [], len(parents)
-        levels.append(level_start)
-        for lo in range(0, len(frontier), CHUNK):
-            prods = (np.matmul(frontier[lo:lo + CHUNK, None], gens) % m).reshape(-1, d, d)
-            keys = _row_keys(prods)
-            # x g_c^-1 is x's parent when x = parent g_c: no probe needed
-            back = inv_col[up_gens[lo:lo + CHUNK]]
-            rows = np.flatnonzero(back >= 0)
-            ids = np.full(len(keys), -1, dtype=np.int32)
-            ids[rows * k + back[rows]] = up[lo:lo + CHUNK][rows]
-            probe = np.flatnonzero(ids < 0)
-            ids[probe] = np.fromiter(map(index.get, keys[probe].tolist(), repeat(-1)),
-                                     dtype=np.int32, count=len(probe))
-            unseen = np.flatnonzero(ids < 0)
-            unseen_keys = keys[unseen].tolist()
-            # filled in reverse, each key keeps the last position written: its first
-            first = dict(zip(reversed(unseen_keys), reversed(unseen.tolist())))
-            new = np.sort(np.fromiter(first.values(), dtype=np.int64, count=len(first)))
-            count = len(index)
-            if count + len(new) > cap:
-                raise CapacityError(cap, max(count, cap))
-            new_ids = dict(zip(keys[new].tolist(), range(count, count + len(new))))
-            index.update(new_ids)
-            ids[unseen] = np.fromiter(map(new_ids.__getitem__, unseen_keys), dtype=np.int32,
-                                      count=len(unseen_keys))
-            level.append(prods[new])
-            parents.append(frontier_start + lo + new // k)
-            parent_gens.append(new % k)
-            right.append(ids.reshape(-1, k))
-        elements += level
-        frontier, frontier_start = np.concatenate(level), level_start
-        up = np.concatenate(parents[pieces:])
-        up_gens = np.concatenate(parent_gens[pieces:])
-    return (np.concatenate(elements), np.concatenate(parents),
-            np.concatenate(parent_gens), index, np.concatenate(right),
+        levels.append(count)
+        ids = np.full(len(frontier) * k, -1, dtype=np.int32)
+        # x g_c^-1 is x's parent when x = parent g_c: no search needed
+        back = inv_col[up_gens]
+        rows = np.flatnonzero(back >= 0)
+        ids[rows * k + back[rows]] = up[rows]
+        probe = np.flatnonzero(ids < 0)
+        level_codes = np.concatenate([
+            _codes((np.matmul(frontier[lo:lo + CHUNK, None], gens) % m).reshape(-1, d * d), m)
+            for lo in range(0, len(frontier), CHUNK)])[probe]
+        order = np.argsort(level_codes)
+        needles, at = level_codes[order], probe[order]
+        found = _search(*prev, needles)
+        miss = found < 0
+        found[miss] = _search(*cur, needles[miss])
+        miss = np.flatnonzero(found < 0)
+        fresh = needles[miss]
+        starts = np.ones(len(fresh), dtype=bool)
+        starts[1:] = fresh[1:] != fresh[:-1]
+        run = np.flatnonzero(starts)
+        first = np.minimum.reduceat(at[miss], run)
+        if count + len(first) > cap:
+            raise CapacityError(cap, max(count, cap))
+        rank = np.argsort(first)  # the new elements in sequential BFS order
+        new_ids = np.empty(len(first), dtype=np.int64)
+        new_ids[rank] = np.arange(count, count + len(first))
+        found[miss] = np.repeat(new_ids, np.diff(np.append(run, len(miss))))
+        ids[at] = found
+        right.append(ids.reshape(-1, k))
+        first = first[rank]
+        frontier = np.matmul(frontier[first // k], gens[first % k]) % m
+        up, up_gens = frontier_start + first // k, first % k
+        elements.append(frontier)
+        parents.append(up)
+        parent_gens.append(up_gens)
+        prev, cur = cur, (fresh[run], new_ids)
+        frontier_start, count = count, count + len(first)
+    elements = np.concatenate(elements)
+    return (elements, np.concatenate(parents), np.concatenate(parent_gens),
+            build_index(elements, m), np.concatenate(right),
             np.array(levels, dtype=np.int64))
 
 

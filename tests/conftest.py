@@ -79,6 +79,19 @@ def sp4_2():
 
 
 @pytest.fixture(scope="session")
+def signed_perm4_17():
+    # the 4x4 signed permutation matrices over Z_17 (order 2^4 4! = 384):
+    # 17^16 >= 2^63, so the element index keys them by several words
+    m = 17
+    cycle = np.roll(np.eye(4, dtype=np.int64), 1, axis=0)
+    swap = np.eye(4, dtype=np.int64)[[1, 0, 2, 3]]
+    sign = np.diag([m - 1, 1, 1, 1])
+    g = rm.generate_group([rm.ModMatrix(a, m) for a in (cycle, swap, sign)])
+    assert g.order == 384
+    return g
+
+
+@pytest.fixture(scope="session")
 def dihedral8_outer(dihedral8):
     # conjugation by u, outside the group but normalizing it (u lies in
     # the semidihedral group of order 16 in GL(2, Z_3)): order 4, so the
@@ -135,6 +148,13 @@ def reference_closure(gens, m, cap):
         np.array(right, dtype=np.int32),
         np.array(levels, dtype=np.int64),
     )
+
+
+def reference_ids(group, mats):
+    """Bytes-dict reference for FiniteGroup.ids_of: every element's raw
+    row-major int64 bytes mapped to its id, probed once per matrix."""
+    index = {e.tobytes(): i for i, e in enumerate(group.elements)}
+    return [index.get(np.ascontiguousarray(x, dtype=np.int64).tobytes(), -1) for x in mats]
 
 
 def reference_character_values(group, gen_values):

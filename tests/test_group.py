@@ -78,7 +78,7 @@ class TestGenerateGroup:
     def test_verify_closure_reports_escape(self, sp2_5):
         # the same group with its last element dropped is not closed
         n = sp2_5.order - 1
-        index = {sp2_5.elements[i].tobytes(): i for i in range(n)}
+        index = kernels.build_index(sp2_5.elements[:n], sp2_5.m)
         g = rm.FiniteGroup(sp2_5.elements[:n], sp2_5.parents[:n], sp2_5.parent_gens[:n],
                            index, sp2_5.right[:n], sp2_5.levels, sp2_5.gen_matrices,
                            sp2_5.gen_source, sp2_5.modulus, True)

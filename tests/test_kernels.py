@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reidemeister as rm
-from conftest import reference_closure, union_find_labels
+from conftest import reference_closure, reference_ids, union_find_labels
 from reidemeister import kernels
-from reidemeister.errors import CapacityError, IntegrityError
+from reidemeister.automorphisms import load_character_file
+from reidemeister.errors import CapacityError, IntegrityError, StructuralError
 
 
 def _augmented(gens):
@@ -41,8 +42,8 @@ def _assert_matches_reference(gens, m):
     for got, want in zip((elems, parents, parent_gens, right, levels), ref):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    assert len(index) == len(elems)
-    assert all(index[elems[i].tobytes()] == i for i in range(len(elems)))
+    assert len(index.keys) == len(elems)
+    assert np.array_equal(kernels.lookup(elems, index), np.arange(len(elems)))
     return elems
 
 
@@ -96,6 +97,29 @@ def test_representatives_are_least_canonical_keys(z1009):
     assert part.representatives.tolist() == [least[c] for c in range(part.n_classes)]
 
 
+def test_closure_matches_reference_with_wide_keys(signed_perm4_17):
+    # 17^16 >= 2^63: each radix code spans several words, one np.void key
+    gens = signed_perm4_17.gen_matrices
+    elems = _assert_matches_reference(gens, 17)
+    assert np.array_equal(elems, signed_perm4_17.elements)
+    index = kernels.closure(gens, 17, 10**7)[3]
+    assert index.keys.dtype.kind == "V"
+    assert np.array_equal(signed_perm4_17.ids_of(elems), np.arange(384))
+
+
+def test_character_file_format_pinned_above_256(z1009, tmp_path):
+    # a twist: file names each user generator by its hex canonical_key:
+    # 4-byte dim and m, then the entries as 2-byte little-endian at m > 256
+    lines = ["02000000f1030000" "0100010000000100=+1",
+             "02000000f1030000" "0300000000000100=-1"]
+    assert [rm.canonical_key(a).hex() + "=" for a in Z1009_GENS] == \
+        [line[:-2] for line in lines]
+    path = tmp_path / "char.txt"
+    path.write_text("\n".join(lines) + "\n")
+    chi = load_character_file(z1009, str(path))
+    assert [chi.values[z1009.id_of(a)] for a in Z1009_GENS] == [1, -1]
+
+
 def test_parent_factorization():
     m = 7
     gens = _sp_gens(1, m)
@@ -119,6 +143,12 @@ def test_capacity_error_message():
     assert str(ref.value) == str(e.value)
 
 
+def test_closure_needs_inverse_closed_generators():
+    # frontier search is exact only if x g lies within one level of x
+    with pytest.raises(StructuralError, match="closed under inverses"):
+        kernels.closure(np.array([[[1, 1], [0, 1]]], dtype=np.int64), 7, 10**7)
+
+
 def test_escaping_action_table_names_first_bad_id(sp2_5, dihedral8):
     # 2I has det 4: x -> 2x leaves SL(2, Z_5) already at the identity
     ident = np.eye(2, dtype=np.int64)
@@ -138,6 +168,60 @@ def test_escaping_action_table_names_first_bad_id(sp2_5, dihedral8):
 def test_lookup_marks_missing_rows(sp2_5):
     mats = np.stack([sp2_5.elements[17], 2 * np.eye(2, dtype=np.int64), sp2_5.elements[3]])
     assert sp2_5.ids_of(mats).tolist() == [17, -1, 3]
+
+
+def test_lookup_rejects_unreduced_entries(sp2_5):
+    # a radix code would carry an entry equal to m into the next digit
+    x = sp2_5.elements[17]
+    shifted, negative = x.copy(), x.copy()
+    shifted[0, 1] += 5
+    negative[1, 0] -= 5
+    assert sp2_5.ids_of(np.stack([shifted, negative, x])).tolist() == [-1, -1, 17]
+    # a matrix over a larger modulus carries the same unreduced entries
+    over97 = rm.ModMatrix(shifted, 97)
+    assert np.array_equal(over97.entries, shifted)
+    assert not sp2_5.contains(over97)
+    with pytest.raises(StructuralError, match="not an element"):
+        sp2_5.id_of(over97)
+    # every member with one entry moved by +-m, whichever digit that aliases
+    step = 5 * np.eye(4, dtype=np.int64).reshape(4, 2, 2)
+    moved = np.concatenate([sp2_5.elements[:, None] + step, sp2_5.elements[:, None] - step])
+    assert np.all(sp2_5.ids_of(moved.reshape(-1, 2, 2)) == -1)
+
+
+@pytest.fixture(scope="module", params=["sp2_5", "sp4_2", "signed_perm4_17"])
+def lookup_group(request):
+    return request.getfixturevalue(request.param)
+
+
+@st.composite
+def lookup_stacks(draw, g):
+    """Stacks of d x d int64 matrices: members, reduced matrices (mostly
+    non-members) and members with one entry outside [0, m)."""
+    d, m = g.dim, g.m
+    member = st.integers(0, g.order - 1).map(lambda i: g.elements[i])
+    reduced = st.lists(st.integers(0, m - 1), min_size=d * d, max_size=d * d).map(
+        lambda e: np.reshape(np.array(e, dtype=np.int64), (d, d)))
+
+    @st.composite
+    def unreduced(draw):
+        x = g.elements[draw(st.integers(0, g.order - 1))].copy()
+        at = draw(st.integers(0, d * d - 1))
+        x.flat[at] = draw(st.one_of(
+            st.integers(-(2**63), -1), st.integers(m, 2**63 - 1),
+            st.integers(1, 3).map(lambda t: int(x.flat[at]) + t * m),
+            st.integers(1, 3).map(lambda t: int(x.flat[at]) - t * m)))
+        return x
+
+    mats = draw(st.lists(st.one_of(member, reduced, unreduced()), max_size=12))
+    return np.array(mats, dtype=np.int64).reshape(-1, d, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_ids_of_matches_bytes_dict(lookup_group, data):
+    mats = data.draw(lookup_stacks(lookup_group))
+    assert lookup_group.ids_of(mats).tolist() == reference_ids(lookup_group, mats)
 
 
 def _permutation_lists(n):
