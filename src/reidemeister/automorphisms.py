@@ -22,7 +22,7 @@ from . import kernels
 from .errors import (IntegrityError, PreconditionError, StructuralError,
                      UnsupportedTwistError)
 from .group import FiniteGroup
-from .modring import ModMatrix, mat_inverse
+from .modring import ModMatrix, canonical_key, mat_inverse
 
 RANDOM_PAIR_SAMPLES = 1000
 
@@ -170,8 +170,8 @@ class Character:
     def from_generator_values(cls, group: FiniteGroup, gen_values) -> "Character":
         """Extend values given per (un-augmented) generator along BFS parents.
 
-        gen_values: sequence of +-1, one per generator as passed to
-        generate_group; an inverse generator inherits its source's value.
+        gen_values[i]: +-1 for generator i as passed to generate_group, for
+        each i in gen_source; an inverse generator inherits its source's value.
         """
         aug_values = np.array([int(gen_values[src]) for src in group.gen_source])
         if not np.all(np.isin(aug_values, (1, -1))):
@@ -268,8 +268,6 @@ def parse_descriptor(g: FiniteGroup, spec: str) -> Automorphism:
 
 def load_character_file(g: FiniteGroup, path: str) -> Character:
     """Character file: one line per generator, "<hex canonical_key>=+1|-1"."""
-    from .modring import canonical_key
-
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")  # newlines already translated
@@ -287,15 +285,10 @@ def load_character_file(g: FiniteGroup, path: str) -> Character:
         if val not in ("+1", "-1", "1"):
             raise PreconditionError(f"{path}:{lineno}: value must be +1 or -1")
         table[key_hex.strip().lower()] = 1 if val in ("+1", "1") else -1
-    gen_values = []
-    n_user = max(g.gen_source) + 1
-    user_keys = [None] * n_user
-    for aug_idx, src in enumerate(g.gen_source):
-        if user_keys[src] is None:
-            mat = ModMatrix(g.gen_matrices[aug_idx], g.modulus)
-            user_keys[src] = canonical_key(mat).hex()
-    for src, key_hex in enumerate(user_keys):
+    gen_values = {}
+    for src, s in g.user_generators().items():
+        key_hex = canonical_key(g.element(s)).hex()
         if key_hex not in table:
             raise PreconditionError(f"character file missing generator {src} ({key_hex})")
-        gen_values.append(table[key_hex])
+        gen_values[src] = table[key_hex]
     return Character.from_generator_values(g, gen_values)

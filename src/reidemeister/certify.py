@@ -100,7 +100,7 @@ class SemidirectGroup:
         against the scalar product mult/inv.
         """
         g = self.base
-        conjugators = [(s, 0) for s in _user_generators(g)]
+        conjugators = [(s, 0) for s in g.user_generators().values()]
         moves = [g.action_table(g.elements[s],
                                 g.elements[self._phi_power(g.inverse_id(s), k)])
                  for s, _ in conjugators]
@@ -118,16 +118,6 @@ class SemidirectGroup:
         """Ordinary-conjugacy class labels of the coset {(g, k)}: the orbits,
         by kernels.orbits, of coset_moves(k)."""
         return kernels.orbits(self.coset_moves(k), self.base.order)
-
-
-def _user_generators(g: FiniteGroup) -> list[int]:
-    """ids of the user's generators: the first augmented column of each
-    gen_source value (generate_group lists every generator before any
-    inverse, so that column holds the generator itself)."""
-    first = {}
-    for s, src in zip(g.generators, g.gen_source):
-        first.setdefault(src, s)
-    return list(first.values())
 
 
 def semidirect_oracle(g: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP) -> Certificate:

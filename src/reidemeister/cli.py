@@ -35,7 +35,7 @@ def _add_common(p):
     p.add_argument("--output", choices=["json", "csv", "text"], default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized validation samples")
+                   help="seed of oracle-shift's random thetas; others ignore it")
     p.add_argument("--no-header", action="store_true",
                    help="suppress the timestamped header line")
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import kernels
 from .errors import IntegrityError, StructuralError
-from .modring import (ModMatrix, entry_dtype, is_symplectic, mat_inverse,
-                      symplectic_form)
+from .modring import ModMatrix, is_symplectic, mat_inverse, symplectic_form
 
 DEFAULT_CAP = 10**7
 
@@ -72,7 +71,6 @@ class FiniteGroup:
         self.symplectic = symplectic
         self.identity = 0
         self.generators = right[0].tolist()
-        self._lex_order = None
 
     @property
     def order(self) -> int:
@@ -118,6 +116,15 @@ class FiniteGroup:
         below, and the tests compare those with it."""
         return kernels.action_table(self.elements, left, right, self.m, self._index)
 
+    def user_generators(self) -> dict[int, int]:
+        """{i: id} for each user generator i that gen_source names (a repeated
+        generator by its first position only): the id in its first augmented
+        column, which holds the generator itself."""
+        first = {}
+        for s, src in zip(self.generators, self.gen_source):
+            first.setdefault(src, s)
+        return first
+
     def word(self, w: int) -> list[int]:
         """Generator columns c_1..c_L with w = g_{c_1} ... g_{c_L}: w's BFS path."""
         cols = []
@@ -160,19 +167,8 @@ class FiniteGroup:
         return self.times(self.extend(self.generators, start=s), w)
 
     def lex_order(self) -> np.ndarray:
-        """Element ids sorted by canonical_key (ascending).
-
-        All keys share their header, so they sort as their bodies do: the
-        entries at canonical width, little-endian, compared bytewise.  The
-        body bytes, zero-padded to 8-byte words and read big-endian, compare
-        as those words do, first word first: one np.lexsort.
-        """
-        if self._lex_order is None:
-            body = self.elements.reshape(self.order, -1).astype(entry_dtype(self.m))
-            raw = body.view(np.uint8)
-            words = np.pad(raw, ((0, 0), (0, -raw.shape[1] % 8))).view(">u8")
-            self._lex_order = np.lexsort(words.T[::-1])
-        return self._lex_order
+        """Element ids by ascending canonical_key: the index's read-only ids."""
+        return self._index.ids
 
     def verify_closure(self, exhaustive_limit=2000, samples=10**5, seed=0):
         """Check closure under multiplication: exhaustively on small groups,
@@ -194,13 +190,12 @@ class FiniteGroup:
         return True
 
 
-def generate_group(gens, cap=DEFAULT_CAP, symplectic=None) -> FiniteGroup:
+def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
     """Enumerate the group generated by gens by breadth-first closure.
 
     Generators are augmented with their inverses before BFS so the move
-    set is symmetric.  If symplectic is None it is inferred from the
-    generators; when set (or inferred) every element is verified against
-    the symplectic condition.
+    set is symmetric.  If every generator is symplectic, every element is
+    verified against the symplectic condition.
     """
     if not gens:
         raise StructuralError("at least one generator required")
@@ -210,8 +205,7 @@ def generate_group(gens, cap=DEFAULT_CAP, symplectic=None) -> FiniteGroup:
         if g.dim != d or g.m != mod.m:
             raise StructuralError("generators must share dimension and modulus")
     inverses = [mat_inverse(g) for g in gens]  # raises SingularMatrixError
-    if symplectic is None:
-        symplectic = all(is_symplectic(g) for g in gens)
+    symplectic = all(is_symplectic(g) for g in gens)
     # the generators, then their inverses, each kept at its first occurrence
     stack = np.stack([g.entries for g in [*gens, *inverses]])
     first = np.sort(np.unique(stack.reshape(len(stack), -1), axis=0, return_index=True)[1])

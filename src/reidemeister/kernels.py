@@ -3,11 +3,12 @@ right Cayley table it builds, batched group-action tables and orbits of
 permutation moves.
 
 The element index keys each matrix by its radix code: the row-major
-entries as the digits of one base-m number.  It keeps the sorted codes
-and their argsort, the ids, and lookup() finds a stack of matrices by
-binary search with np.searchsorted.  Where a code reaches 2**63, the
-digits are packed into several big-endian uint64 words, and each row's
-words are one np.void key that sorts, searches and compares the same way.
+entries as the digits of one number, most significant first, so codes
+ascend as canonical_key does.  It keeps the sorted codes and their
+argsort, the ids, and lookup() finds a stack of matrices by binary search
+with np.searchsorted.  Where a code reaches 2**63, the digits are packed
+into big-endian uint64 words, each row's words one np.void key that
+sorts, searches and compares the same way.
 """
 
 from dataclasses import dataclass
@@ -15,27 +16,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, IntegrityError, StructuralError
+from .modring import entry_dtype
 
 CHUNK = 1 << 12  # frontier elements multiplied per batched matmul; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
 
 
 def _codes(flat, m) -> np.ndarray:
-    """Radix codes of the rows of an (n, D) int64 array with entries in [0, m).
+    """Radix codes of the rows of an (n, D) int64 array with entries in [0, m);
+    they ascend as the rows' canonical_key does.
 
-    Row r's digits are packed `per` at a time into int64 words, with
-    m**per < 2**63.  One word is the code itself.  Several are stored
-    big-endian and each row's words viewed as one np.void key, which
+    Each entry is one digit, most significant first: the entry in base m
+    for m <= 256, else its entry_dtype(m) bytes read big-endian (canonical_key
+    stores them little-endian).  Digits are packed `per` at a time into int64
+    words, base**per < 2**63.  One word is the code itself.  Several are
+    stored big-endian and each row's words viewed as one np.void key, which
     compares bytewise as the words do, first word first.
     """
     n, width = flat.shape
+    if m > 256:
+        flat = flat.astype(entry_dtype(m)).byteswap()
+    base = 256**flat.itemsize if m > 256 else m
     per = 1
-    while per < width and m ** (per + 1) < 2**63:
+    while per < width and base ** (per + 1) < 2**63:
         per += 1
     words = -(-width // per)
     if words * per > width:
         flat = np.pad(flat, ((0, 0), (0, words * per - width)))
-    code = flat.reshape(n * words, per) @ np.array([m**i for i in range(per)], dtype=np.int64)
+    code = flat.reshape(n * words, per) @ base ** np.arange(per - 1, -1, -1)
     if words == 1:
         return code
     return code.astype(">u8").view(np.dtype((np.void, 8 * words)))
@@ -45,7 +53,8 @@ def _codes(flat, m) -> np.ndarray:
 class Index:
     """The element index of a group of dim x dim matrices over Z_m: keys
     holds every element's radix code in ascending order, ids[i] the id of
-    keys[i]."""
+    keys[i], so ids lists the elements by ascending canonical_key.  Both
+    arrays are read-only."""
 
     m: int
     dim: int
@@ -58,7 +67,9 @@ def build_index(elements, m) -> Index:
     n, d, _ = elements.shape
     keys = _codes(elements.reshape(n, d * d), m)
     ids = np.argsort(keys)
-    return Index(m, d, keys[ids], ids)
+    keys = keys[ids]
+    keys.flags.writeable = ids.flags.writeable = False
+    return Index(m, d, keys, ids)
 
 
 def _search(keys, ids, needles) -> np.ndarray:

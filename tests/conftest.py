@@ -222,13 +222,14 @@ def union_find_labels(n, edges):
 
 def brute_force_twisted_partition(g, phi):
     """Independent O(|G|^2) oracle: union-find over x ~ a x phi(a)^-1 with
-    every group element as a move, no generator moves or orbit kernel."""
-    m = g.m
-    inv_images = [g.elements[g.inverse_id(phi.apply_id(a))] for a in range(g.order)]
-    edges = ((x, g.id_of(rm.ModMatrix((g.elements[a] @ g.elements[x] @ inv_images[a]) % m,
-                                      g.modulus)))
-             for x in range(g.order) for a in range(g.order))
-    return union_find_labels(g.order, edges)
+    every group element as a move, no generator moves or orbit kernel.  All
+    |G|^2 products come from one matmul and one ids_of."""
+    m, n, elems = g.m, g.order, g.elements
+    inv_images = elems[[g.inverse_id(phi.apply_id(a)) for a in range(n)]]
+    prods = np.matmul(np.matmul(elems[:, None], elems) % m, inv_images[:, None]) % m
+    ids = g.ids_of(prods.reshape(n * n, g.dim, g.dim))  # row a, column x
+    assert (ids >= 0).all(), "a x phi(a)^-1 escapes the group"
+    return union_find_labels(n, zip(np.tile(np.arange(n), n).tolist(), ids.tolist()))
 
 
 @st.composite

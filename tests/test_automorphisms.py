@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from conftest import reference_character_values
-from reidemeister.automorphisms import _from_generator_images, parse_descriptor
+from reidemeister.automorphisms import (_from_generator_images, load_character_file,
+                                        parse_descriptor)
 from reidemeister.errors import (IntegrityError, PreconditionError,
                                  UnsupportedTwistError)
 
@@ -152,6 +153,20 @@ class TestValidation:
         assert g.order == 6
         with pytest.raises(IntegrityError, match="not normalized by diag"):
             rm.sign_flip(g)
+
+
+class TestCharacterFile:
+    def test_repeated_generator(self, tmp_path):
+        # generators [a, a, b]: gen_source names the first a and b only, and
+        # a file giving a and b is complete
+        a, b = rm.ModMatrix([[1, 1], [0, 1]], 5), rm.ModMatrix([[1, 0], [1, 1]], 5)
+        g = rm.generate_group([a, a, b])
+        assert g.gen_source == [0, 2, 0, 2]
+        path = tmp_path / "char.txt"
+        path.write_text("".join(f"{rm.canonical_key(x).hex()}=+1\n" for x in (a, b)))
+        chi = load_character_file(g, str(path))
+        assert np.array_equal(chi.values, np.ones(g.order))
+        assert parse_descriptor(g, f"twist:{path}").descriptor == {"kind": "identity"}
 
 
 class TestCharacterTwist:

@@ -7,7 +7,7 @@ import reidemeister as rm
 from conftest import reference_coset_move, reference_refined_partition
 from reidemeister import certify
 from reidemeister.certify import (FAIL, INCONCLUSIVE, PASS, _class_map, _refined_partition,
-                                  _user_generators, growth_rows_csv)
+                                  growth_rows_csv)
 from reidemeister.errors import PreconditionError, StructuralError
 
 
@@ -86,7 +86,7 @@ class TestSemidirectOracle:
                  (quaternion8, _nontrivial_inner(quaternion8))]
         for g, phi in cases:
             semi = rm.SemidirectGroup(g, phi)
-            conjugators = [(s, 0) for s in _user_generators(g)]
+            conjugators = [(s, 0) for s in g.user_generators().values()]
             if semi.m > 1:
                 conjugators.append((g.identity, 1))
             moves = semi.coset_moves(k)
@@ -103,7 +103,7 @@ class TestSemidirectOracle:
     def test_one_move_per_user_generator(self, sp2_7):
         # 2 user generators plus their inverses are augmented to 4 columns
         assert len(sp2_7.generators) == 4
-        assert _user_generators(sp2_7) == sp2_7.generators[:2]
+        assert sp2_7.user_generators() == dict(enumerate(sp2_7.generators[:2]))
         assert len(rm.SemidirectGroup(sp2_7, rm.sign_flip(sp2_7)).coset_moves(1)) == 3
 
     def test_broken_table_breaks_product_rule(self, monkeypatch, dihedral8):

@@ -74,14 +74,33 @@ def _depths(parents):
     return depth
 
 
-def test_lex_order_is_canonical_key_order(z1009):
-    # at m > 256 entries are 2-byte little-endian, so the keys do not sort
-    # like the entries themselves
-    keys = [rm.canonical_key(z1009.element(i)) for i in range(z1009.order)]
-    want = sorted(range(z1009.order), key=keys.__getitem__)
-    assert z1009.lex_order().tolist() == want
-    by_entries = np.lexsort(z1009.elements.reshape(z1009.order, -1).T[::-1])
+@pytest.fixture(scope="module")
+def z65537():
+    # the shears by 1 and 256 and -I over Z_65537, order 131,074, with
+    # 4-byte key entries; the shear by 256 keeps the BFS shallow (258 levels)
+    m = 65537
+    return rm.generate_group([rm.ModMatrix([[1, 1], [0, 1]], m),
+                              rm.ModMatrix([[1, 256], [0, 1]], m),
+                              rm.ModMatrix([[m - 1, 0], [0, m - 1]], m)])
+
+
+@pytest.mark.parametrize("group", ["z1009", "z65537"])
+def test_lex_order_is_canonical_key_order(group, request):
+    # at m > 256 entries are 2- or 4-byte little-endian, so the keys do not
+    # sort like the entries themselves
+    g = request.getfixturevalue(group)
+    keys = [rm.canonical_key(g.element(i)) for i in range(g.order)]
+    want = sorted(range(g.order), key=keys.__getitem__)
+    assert g.lex_order().tolist() == want
+    by_entries = np.lexsort(g.elements.reshape(g.order, -1).T[::-1])
     assert by_entries.tolist() != want
+
+
+def test_lex_order_is_read_only(sp2_5):
+    # lex_order hands out the index's own ids; a write would corrupt lookups
+    with pytest.raises(ValueError):
+        sp2_5.lex_order()[0] = 1
+    assert np.array_equal(sp2_5.ids_of(sp2_5.elements), np.arange(sp2_5.order))
 
 
 def test_representatives_are_least_canonical_keys(z1009):
