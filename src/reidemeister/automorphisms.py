@@ -13,7 +13,6 @@ Equality is permutation equality, so inner(D) == sign_flip.
 from __future__ import annotations
 
 import hashlib
-import random
 from math import lcm
 
 import numpy as np
@@ -21,27 +20,13 @@ import numpy as np
 from . import kernels
 from .errors import (IntegrityError, PreconditionError, StructuralError,
                      UnsupportedTwistError)
-from .group import FiniteGroup
-from .modring import ModMatrix, canonical_key, mat_inverse
+from .group import FiniteGroup, random_pairs
+from .modring import ModMatrix, canonical_key, mat_inverse, sign_pattern
 
 RANDOM_PAIR_SAMPLES = 1000
 
 
-def _random_pairs(n: int, seed):
-    """The seeded random pairs (i, j) of the belt-and-braces checks."""
-    rng = random.Random(seed)
-    pairs = [(rng.randrange(n), rng.randrange(n))
-             for _ in range(min(RANDOM_PAIR_SAMPLES, n * n))]
-    return np.array(pairs, dtype=np.int64).T.reshape(2, -1)
-
-
-def _product_ids(g: FiniteGroup, a, b) -> np.ndarray:
-    """ids of a[t] b[t] for every t, by one batched matmul and lookup."""
-    return g.ids_of(np.matmul(g.elements[a], g.elements[b]) % g.m)
-
-
-def _validate_automorphism(g: FiniteGroup, perm: np.ndarray, what: str, images=None,
-                           seed=0):
+def _validate_automorphism(g: FiniteGroup, perm: np.ndarray, what: str, images=None):
     """Checks perm is an automorphism: phi(x g_c) = phi(x) phi(g_c) on every
     edge of the right Cayley table (all pairs, by induction on word length),
     the declared generator images if given, bijectivity, and seeded random
@@ -60,9 +45,9 @@ def _validate_automorphism(g: FiniteGroup, perm: np.ndarray, what: str, images=N
         raise IntegrityError(f"{what}: generator images differ from the declared ones")
     if not np.array_equal(np.sort(perm), np.arange(n)):
         raise IntegrityError(f"{what}: not a bijection of the element table")
-    i, j = _random_pairs(n, seed)
-    ij, images_ij = _product_ids(g, np.concatenate([i, perm[i]]),
-                                 np.concatenate([j, perm[j]])).reshape(2, -1)
+    i, j = random_pairs(n, RANDOM_PAIR_SAMPLES)
+    ij, images_ij = g.products(np.concatenate([i, perm[i]]),
+                               np.concatenate([j, perm[j]])).reshape(2, -1)
     bad = np.flatnonzero(perm[ij] != images_ij)
     if len(bad):
         raise IntegrityError(f"{what}: homomorphism property fails at pair "
@@ -128,9 +113,7 @@ def identity_automorphism(g: FiniteGroup) -> Automorphism:
 
 def sign_flip(g: FiniteGroup) -> Automorphism:
     """Entrywise multiplication by (-1)^(i+j); conjugation by diag(1,-1,1,-1,...)."""
-    d = g.dim
-    signs = np.fromfunction(lambda i, j: 1 - 2 * ((i + j) % 2), (d, d), dtype=np.int64)
-    images = g.ids_of((g.gen_matrices * signs) % g.m)
+    images = g.ids_of((g.gen_matrices * sign_pattern(g.dim)) % g.m)
     bad = np.flatnonzero(images < 0)
     if len(bad):
         raise IntegrityError(
@@ -186,7 +169,7 @@ class Character:
     def is_trivial(self) -> bool:
         return bool(np.all(self.values == 1))
 
-    def validate(self, seed=0):
+    def validate(self):
         g = self.group
         if self.values.shape != (g.order,):
             raise IntegrityError("character table has wrong size")
@@ -198,8 +181,8 @@ class Character:
         for c, s in enumerate(g.generators):
             if not np.array_equal(vals[g.right[:, c]], vals * vals[s]):
                 raise IntegrityError(f"character not multiplicative at generator {s}")
-        i, j = _random_pairs(g.order, seed)
-        bad = np.flatnonzero(vals[_product_ids(g, i, j)] != vals[i] * vals[j])
+        i, j = random_pairs(g.order, RANDOM_PAIR_SAMPLES)
+        bad = np.flatnonzero(vals[g.products(i, j)] != vals[i] * vals[j])
         if len(bad):
             raise IntegrityError(f"character not multiplicative at pair "
                                  f"({i[bad[0]]},{j[bad[0]]})")

@@ -18,10 +18,9 @@ from . import kernels
 from .automorphisms import (Automorphism, Character, character_twist, compose,
                             identity_automorphism, inner, sign_flip)
 from .errors import CapacityError, PreconditionError, StructuralError
-from .generators import sp_order, standard_generators
-from .group import (DEFAULT_CAP, FiniteGroup, Partition, class_count,
-                    generate_group, twisted_classes)
-from .modring import Modulus, TorusElement, _is_prime
+from .group import (DEFAULT_CAP, FiniteGroup, class_count, sp_group, twisted_classes,
+                    twisted_moves)
+from .modring import Modulus, TorusElement, _is_prime, check_int64, sign_pattern
 
 PASS = "pass"
 FAIL = "fail"
@@ -58,8 +57,8 @@ class SemidirectGroup:
 
     Never re-interned as matrices; only the conjugacy structure is needed.
     Products are matmuls looked up in the element index: neither the
-    scalar mult nor the move tables (action_table) use the Cayley-table
-    gathers that twisted_classes is built on.
+    scalar mult (FiniteGroup.products) nor the move tables (action_table)
+    use the Cayley-table gathers that twisted_classes is built on.
     """
 
     def __init__(self, base: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP):
@@ -82,9 +81,7 @@ class SemidirectGroup:
     def mult(self, a, b):
         g, k = a
         h, l = b
-        elems = self.base.elements
-        prod = elems[g] @ elems[self._phi_power(h, k)] % self.base.m
-        return int(self.base.ids_of(prod[None])[0]), (k + l) % self.m
+        return int(self.base.products([g], [self._phi_power(h, k)])[0]), (k + l) % self.m
 
     def inv(self, a):
         g, k = a
@@ -187,7 +184,7 @@ def shift_bijection_check(g: FiniteGroup, phi: Automorphism, theta: int) -> Cert
     # image class labels under x -> x theta^-1, per source class
     image_label, well_defined = _class_map(p1.class_of, p2.class_of[rmul], p1.n_classes)
     bijective = (well_defined
-                 and len(set(image_label.tolist())) == p1.n_classes
+                 and np.unique(image_label).size == p1.n_classes
                  and p1.n_classes == p2.n_classes)
     return Certificate(
         claim_id="lemma2.1-shift-bijection",
@@ -217,8 +214,7 @@ def _refined_partition(g: FiniteGroup, phi: Automorphism, chi: Character):
         ts = products[chi.values[products] == v]
         schreier.update(g.times(ts, g.inverse_id(rep)).tolist())
     schreier.discard(g.identity)
-    moves = [g.move_table(a, g.inverse_id(phi.apply_id(a))) for a in sorted(schreier)]
-    return kernels.orbits(moves, g.order)
+    return kernels.orbits(twisted_moves(g, phi, sorted(schreier)), g.order)
 
 
 def refined_split_check(g: FiniteGroup, phi: Automorphism, chi: Character) -> Certificate:
@@ -265,7 +261,7 @@ def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism,
     if len(outside):
         raise StructuralError(
             f"reduction of element {outside[0]} is not in the target group")
-    if len(set(int(x) for x in proj)) != q.order:
+    if np.unique(proj).size != q.order:
         raise StructuralError("reduction does not map onto the target group")
     # induced automorphism on the quotient, from proj o phi = phi_bar o proj
     induced, commutes = _class_map(proj, proj[phi.perm], q.order)
@@ -279,7 +275,7 @@ def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism,
     p_g = twisted_classes(g, phi)
     p_q = twisted_classes(q, phi_bar)
     class_image, well_defined = _class_map(p_g.class_of, p_q.class_of[proj], p_g.n_classes)
-    surjective = len(set(class_image.tolist())) == p_q.n_classes
+    surjective = np.unique(class_image).size == p_q.n_classes
     ok = well_defined and surjective and p_g.n_classes >= p_q.n_classes
     return Certificate(
         claim_id="eq2-quotient-epimorphism",
@@ -295,16 +291,13 @@ def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism,
     )
 
 
-def _sp_group(n, m, cap):
-    return generate_group(standard_generators(n, m), cap=cap)
-
-
 def prop32_certificate(p: int, cap=DEFAULT_CAP) -> Certificate:
     """Sp(2, Z_p) with the sign-flip: R >= (p-3)/2, |V1| as predicted, and
     the torus pairing w-bar ~ -w-bar^-1 for every unit w outside V1."""
+    check_int64(2, p)
     if p < 5 or not _is_prime(p):
         raise PreconditionError(f"need a prime p >= 5, got {p}")
-    g = _sp_group(1, p, cap)
+    g = sp_group(1, p, cap)
     phi = sign_flip(g)
     part = twisted_classes(g, phi)
     bound = (p - 3) // 2
@@ -357,13 +350,14 @@ def growth_scan(primes, n=1, cap=DEFAULT_CAP) -> Certificate:
     if primes != sorted(primes) or len(set(primes)) != len(primes):
         raise PreconditionError("primes must be strictly ascending")
     for p in primes:
+        check_int64(2 * n, p)
         if p < 3 or not _is_prime(p):
             raise PreconditionError(f"{p} is not an admissible prime (need >= 3)")
     rows = []
     capacity_hit = None
     for p in primes:
         try:
-            g = _sp_group(n, p, cap)
+            g = sp_group(n, p, cap)
         except CapacityError:
             capacity_hit = p
             break
@@ -411,6 +405,7 @@ def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
     """
     if n < 2:
         raise PreconditionError("block analysis needs half-dimension n >= 2")
+    check_int64(2 * n, p)
     if not _is_prime(p):
         raise PreconditionError(f"block analysis is restricted to prime moduli, got {p}")
     mod = Modulus(p)
@@ -419,13 +414,11 @@ def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
         w = next(u for u in units if u != 1)
     if w % p == 0 or w not in units:
         raise PreconditionError(f"w = {w} is not a unit mod {p}")
-    g = _sp_group(n, p, cap)
-    d = 2 * n
+    g = sp_group(n, p, cap)
     wbar = TorusElement(w, n).realize(p).entries
-    signs = np.fromfunction(lambda i, j: 1 - 2 * ((i + j) % 2), (d, d), dtype=np.int64)
     elems = g.elements
     lhs = (elems @ wbar) % p
-    flipped = (elems * signs) % p
+    flipped = (elems * sign_pattern(2 * n)) % p
     hits = np.zeros(g.order, dtype=bool)
     for u in units:
         t = TorusElement(u, n).realize(p).entries

@@ -17,10 +17,10 @@ import sys
 from datetime import datetime, timezone
 
 from . import certify
-from .automorphisms import parse_descriptor, sign_flip
+from .automorphisms import parse_descriptor
 from .errors import CapacityError, IntegrityError, PreconditionError, StructuralError
-from .generators import sp_order, standard_generators
-from .group import DEFAULT_CAP, class_count, generate_group, ordinary_classes, twisted_classes
+from .generators import sp_order
+from .group import DEFAULT_CAP, ordinary_classes, sp_group, twisted_classes
 from .modring import canonical_key
 
 EXIT_PASS = 0
@@ -127,10 +127,6 @@ def _emit(args, payload: str):
             out.close()
 
 
-def _sp_group(args):
-    return generate_group(standard_generators(args.n, args.modulus), cap=args.cap)
-
-
 def _report_json(fields: dict) -> str:
     return json.dumps({"format": 1, **fields}, indent=2)
 
@@ -172,7 +168,7 @@ def run(args) -> int:
     if args.cap < 1:
         raise PreconditionError(f"--cap must be >= 1, got {args.cap}")
     if args.command == "order":
-        g = _sp_group(args)
+        g = sp_group(args.n, args.modulus, args.cap)
         payload = _report_json({"command": "order", "n": args.n,
                                 "modulus": args.modulus, "group_order": g.order,
                                 "order_formula": sp_order(args.n, args.modulus)})
@@ -180,13 +176,13 @@ def run(args) -> int:
         return EXIT_PASS
 
     if args.command == "classes":
-        g = _sp_group(args)
+        g = sp_group(args.n, args.modulus, args.cap)
         part = ordinary_classes(g)
         _emit(args, _partition_report(args, g, part, "classes"))
         return EXIT_PASS
 
     if args.command == "twisted":
-        g = _sp_group(args)
+        g = sp_group(args.n, args.modulus, args.cap)
         phi = parse_descriptor(g, args.aut)
         part = twisted_classes(g, phi)
         _emit(args, _partition_report(args, g, part, "twisted"))
@@ -202,16 +198,16 @@ def run(args) -> int:
                                     f"got {args.primes!r}") from None
         cert = certify.growth_scan(primes, n=args.n, cap=args.cap)
     elif args.command == "oracle-semidirect":
-        g = _sp_group(args)
+        g = sp_group(args.n, args.modulus, args.cap)
         phi = parse_descriptor(g, args.aut)
         cert = certify.semidirect_oracle(g, phi, cap=args.cap)
     elif args.command == "oracle-burnside":
-        g = _sp_group(args)
+        g = sp_group(args.n, args.modulus, args.cap)
         cert = certify.burnside_oracle(g, parse_descriptor(g, args.aut))
     elif args.command == "oracle-shift":
         if args.trials < 1:
             raise PreconditionError(f"--trials must be >= 1, got {args.trials}")
-        g = _sp_group(args)
+        g = sp_group(args.n, args.modulus, args.cap)
         phi = parse_descriptor(g, args.aut)
         rng = random.Random(args.seed)
         certs = [certify.shift_bijection_check(g, phi, rng.randrange(g.order))
@@ -222,10 +218,9 @@ def run(args) -> int:
         worst.verdict = certify.PASS if worst.computed["all_pass"] else certify.FAIL
         cert = worst
     elif args.command == "oracle-quotient":
-        g = _sp_group(args)
+        g = sp_group(args.n, args.modulus, args.cap)
         phi = parse_descriptor(g, args.aut)
-        qargs = argparse.Namespace(n=args.n, modulus=args.target, cap=args.cap)
-        q = _sp_group(qargs)
+        q = sp_group(args.n, args.target, args.cap)
         cert = certify.quotient_epi_check(g, q, phi)
     elif args.command == "blocks-thm33":
         cert = certify.thm33_block_certificate(args.modulus, n=args.n, w=args.w,

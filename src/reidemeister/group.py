@@ -14,9 +14,17 @@ import numpy as np
 
 from . import kernels
 from .errors import IntegrityError, StructuralError
+from .generators import standard_generators
 from .modring import ModMatrix, is_symplectic, mat_inverse, symplectic_form
 
 DEFAULT_CAP = 10**7
+
+
+def random_pairs(n: int, count: int) -> np.ndarray:
+    """(2, min(count, n * n)) array of random id pairs (i, j), always seed 0."""
+    rng = random.Random(0)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(min(count, n * n))]
+    return np.array(pairs, dtype=np.int64).T.reshape(2, -1)
 
 
 @dataclass
@@ -106,6 +114,13 @@ class FiniteGroup:
     def mul_ids(self, i: int, j: int) -> int:
         return self._id((self.elements[i] @ self.elements[j]) % self.m)
 
+    def products(self, a, b) -> np.ndarray:
+        """ids of a[t] b[t] (-1 if not an element), by matmul and lookup per CHUNK."""
+        return np.concatenate([
+            self.ids_of(np.matmul(self.elements[a[lo:lo + kernels.CHUNK]],
+                                  self.elements[b[lo:lo + kernels.CHUNK]]) % self.m)
+            for lo in range(0, len(a), kernels.CHUNK)])
+
     def inverse_id(self, i: int) -> int:
         return self._id(mat_inverse(self.element(i)).entries)
 
@@ -170,23 +185,18 @@ class FiniteGroup:
         """Element ids by ascending canonical_key: the index's read-only ids."""
         return self._index.ids
 
-    def verify_closure(self, exhaustive_limit=2000, samples=10**5, seed=0):
-        """Check closure under multiplication: exhaustively on small groups,
-        on random pairs above the limit.  Raises IntegrityError on failure."""
+    def verify_closure(self):
+        """Check closure under multiplication: on all pairs up to order 2000,
+        else on 10**5 random pairs.  Raises IntegrityError on failure."""
         n = self.order
-        if n <= exhaustive_limit:
+        if n <= 2000:
             left, right = np.divmod(np.arange(n * n), n)
         else:
-            rng = random.Random(seed)
-            left, right = np.array(
-                [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]).T
-        for lo in range(0, len(left), kernels.CHUNK):
-            i, j = left[lo:lo + kernels.CHUNK], right[lo:lo + kernels.CHUNK]
-            prods = np.matmul(self.elements[i], self.elements[j]) % self.m
-            bad = np.flatnonzero(self.ids_of(prods) < 0)
-            if len(bad):
-                raise IntegrityError(f"product of elements {i[bad[0]]} and {j[bad[0]]} "
-                                     "escapes the group")
+            left, right = random_pairs(n, 10**5)
+        bad = np.flatnonzero(self.products(left, right) < 0)
+        if len(bad):
+            raise IntegrityError(f"product of elements {left[bad[0]]} and "
+                                 f"{right[bad[0]]} escapes the group")
         return True
 
 
@@ -225,19 +235,26 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
                        source, mod, symplectic)
 
 
-def twisted_moves(g: FiniteGroup, phi) -> list[np.ndarray]:
-    """One move x -> s x phi(s)^-1 per augmented generator s, by gathers."""
-    return [g.move_table(s, g.inverse_id(phi.apply_id(s))) for s in g.generators]
+def sp_group(n: int, m: int, cap: int) -> FiniteGroup:
+    """Sp(2n, Z_m), enumerated from its standard generators."""
+    return generate_group(standard_generators(n, m), cap=cap)
+
+
+def twisted_moves(g: FiniteGroup, phi, conjugators) -> list[np.ndarray]:
+    """One move x -> a x phi(a)^-1 per conjugator id a, by gathers; through
+    kernels.orbits, conjugators generating H give the orbits of all of H."""
+    return [g.move_table(a, g.inverse_id(phi.apply_id(a))) for a in conjugators]
 
 
 def twisted_classes(g: FiniteGroup, phi) -> Partition:
     """Partition of g into twisted conjugacy classes of phi.
 
-    Orbits of the action a . x = a x phi(a)^-1, computed by kernels.orbits
-    on twisted_moves; classes are numbered in the order of their least
+    Orbits of a . x = a x phi(a)^-1, by kernels.orbits on the twisted_moves
+    of the user generators; classes are numbered in the order of their least
     element id.  With phi the identity this is ordinary conjugacy.
     """
-    class_of, n_classes = kernels.orbits(twisted_moves(g, phi), g.order)
+    moves = twisted_moves(g, phi, g.user_generators().values())
+    class_of, n_classes = kernels.orbits(moves, g.order)
     sizes = np.bincount(class_of, minlength=n_classes).astype(np.int64)
     order = g.lex_order()
     reps = order[np.unique(class_of[order], return_index=True)[1]]

@@ -205,22 +205,22 @@ def orbits(moves, n):
     numbered in the order of their least element.
 
     Min-label propagation with root hooking and pointer jumping
-    (Shiloach-Vishkin 1982): for each move t, every x, its root label[x]
-    and its image's root label[t[x]] take the least of label[x] and
-    label[t[x]]; then label = label[label] runs to a fixed point, and the
-    rounds stop when the labels do.  Hooking the image's root turns a cycle
-    whose ids rise along the move into a chain that pointer jumping
-    collapses in one round.  A label always names an element of the same
-    orbit that is no larger, so at the fixed point every element is
-    labelled with its orbit's least element (a permutation's cycle reaches
-    back to its start, so forward moves alone connect an orbit).
+    (Shiloach-Vishkin 1982): for each move t, the roots label[x] and
+    label[t[x]] of every x and its image take the least of the two; then
+    label = label[label] runs to a fixed point, which lowers x to its root's
+    label, and the rounds stop when the labels do.  Hooking the image's
+    root turns a cycle whose ids rise along the move into a chain that
+    pointer jumping collapses in one round.  A label always names an
+    element of the same orbit that is no larger, so at the fixed point
+    every element is labelled with its orbit's least element (a
+    permutation's cycle reaches back to its start, so forward moves alone
+    connect an orbit).
     """
     label = np.arange(n, dtype=np.int64)
     while True:
         new = label.copy()
         for t in moves:
             image = label[t]
-            np.minimum(new, image, out=new)
             np.minimum.at(new, label, image)
             np.minimum.at(new, image, label)
         while True:

@@ -14,7 +14,7 @@ happens.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +32,21 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def check_int64(dim: int, m: int):
+    """Raises StructuralError unless dim x dim products over Z_m are exact in
+    int64; checked before anything reduces by m or tests it for primality."""
+    if dim * (m - 1) ** 2 >= 2**63:
+        raise StructuralError(
+            f"modulus {m} too large for exact int64 products in dimension {dim}")
+
+
 @dataclass(frozen=True)
 class Modulus:
     m: int
-    is_prime: bool = field(init=False)
 
     def __post_init__(self):
         if self.m < 2:
             raise StructuralError(f"modulus must be >= 2, got {self.m}")
-        object.__setattr__(self, "is_prime", _is_prime(self.m))
 
     def unit_inverse(self, x: int) -> int:
         try:
@@ -62,16 +68,13 @@ class ModMatrix:
 
     def __init__(self, entries, modulus):
         mod = modulus if isinstance(modulus, Modulus) else Modulus(int(modulus))
-        a = np.array(entries, dtype=np.int64) % mod.m
+        a = np.array(entries, dtype=np.int64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] % 2 != 0 or a.shape[0] == 0:
             raise StructuralError(f"dimension must be even and >= 2, got {a.shape[0]}")
-        if a.shape[0] * (mod.m - 1) ** 2 >= 2**63:
-            raise StructuralError(
-                f"modulus {mod.m} too large for exact int64 products in dimension "
-                f"{a.shape[0]}")
-        a = np.ascontiguousarray(a)
+        check_int64(a.shape[0], mod.m)
+        a = np.ascontiguousarray(a % mod.m)
         a.setflags(write=False)
         self.entries = a
         self.modulus = mod
@@ -194,6 +197,11 @@ def symplectic_form(n: int) -> np.ndarray:
         J[2 * k, 2 * k + 1] = 1
         J[2 * k + 1, 2 * k] = -1
     return J
+
+
+def sign_pattern(d: int) -> np.ndarray:
+    """The signs (-1)^(i+j); entrywise, conjugation by diag(1, -1, 1, -1, ...)."""
+    return np.fromfunction(lambda i, j: 1 - 2 * ((i + j) % 2), (d, d), dtype=np.int64)
 
 
 def is_symplectic(a: ModMatrix) -> bool:

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import signal
 from math import gcd
 
 import numpy as np
@@ -18,6 +20,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for n in sorted(ACCEPTANCE_RESULTS):
             terminalreporter.write_line(ACCEPTANCE_RESULTS[n])
+
+
+@contextlib.contextmanager
+def within_one_second(what):
+    """Fails the test if the block still runs after one second.  pytest.fail
+    raises no Exception, so no handler in the code under test catches it."""
+    def expire(signum, frame):
+        pytest.fail(f"{what} still running after one second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

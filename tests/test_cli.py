@@ -10,6 +10,8 @@ from reidemeister import cli, generate_group, standard_generators
 from reidemeister.cli import main
 from reidemeister.modring import ModMatrix, canonical_key
 
+from conftest import within_one_second
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -324,6 +326,24 @@ class TestBadInput:
     def test_modulus_too_wide_for_int64(self, capsys):
         code, out, err = run(capsys, "order", "--modulus", str(2**32 + 15))
         assert code == 2
+        assert "too large" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "--modulus", str(2**61 - 1)),
+        ("order", "--modulus", str(10**30)),
+        ("twisted", "--modulus", str(10**30)),
+        ("oracle-quotient", "--modulus", "6", "--target", str(2**61 - 1)),
+        ("certify-prop32", "--p", str(2**61 - 1)),
+        ("certify-growth", "--primes", f"5,{2**61 - 1}"),
+        ("blocks-thm33", "--modulus", str(2**61 - 1)),
+    ])
+    def test_huge_modulus_rejected_at_once(self, capsys, argv):
+        # 2**61 - 1 is prime: trial division would run for hours, and 10**30
+        # overflows int64; the int64 bound must reject both first
+        with within_one_second(argv[0]):
+            code, out, err = run(capsys, *argv)
+        assert code == 2, err
+        assert out == ""
         assert "too large" in err
 
     def test_inner_entries_beyond_int64(self, capsys):

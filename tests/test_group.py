@@ -204,7 +204,7 @@ class TestGatheredTables:
         for g in (sp2_7, dihedral8):
             for phi in (rm.identity_automorphism(g), rm.sign_flip(g),
                         rm.inner(g, g.element(3))):
-                for s, move in zip(g.generators, twisted_moves(g, phi)):
+                for s, move in zip(g.generators, twisted_moves(g, phi, g.generators)):
                     w = g.inverse_id(phi.apply_id(s))
                     ref = g.action_table(g.elements[s], g.elements[w])
                     assert move.dtype == np.int32 and np.array_equal(move, ref)
@@ -213,6 +213,22 @@ class TestGatheredTables:
                                       g.action_table(g.elements[x], ident))
                 assert np.array_equal(g.times(np.arange(g.order), x),
                                       g.action_table(ident, g.elements[x]))
+
+    def test_twisted_classes_move_by_user_generators(self, monkeypatch, sp2_7):
+        # 2 user generators plus their inverses are augmented to 4 columns;
+        # the inverse columns' moves are the inverse permutations, redundant
+        handed = []
+        real = kernels.orbits
+
+        def spy(moves, n):
+            handed.append(len(moves))
+            return real(moves, n)
+
+        phi = rm.sign_flip(sp2_7)
+        monkeypatch.setattr(kernels, "orbits", spy)
+        rm.twisted_classes(sp2_7, phi)
+        assert len(sp2_7.generators) == 4
+        assert handed == [len(sp2_7.user_generators())] == [2]
 
     def test_character_twist_negates_by_gathers(self, dihedral8, dihedral8_chi):
         base = rm.inner(dihedral8, dihedral8.element(1))

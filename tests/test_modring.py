@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from reidemeister.errors import SingularMatrixError, StructuralError
-from reidemeister.modring import Modulus, entry_dtype
+from reidemeister.modring import Modulus, _is_prime, entry_dtype
+
+from conftest import within_one_second
 
 
 def mm(entries, m):
@@ -17,9 +19,9 @@ def mm(entries, m):
 
 class TestModulus:
     def test_prime_flag(self):
-        assert Modulus(7).is_prime
-        assert not Modulus(9).is_prime
-        assert Modulus(2).is_prime
+        assert _is_prime(7)
+        assert not _is_prime(9)
+        assert _is_prime(2)
 
     def test_too_small(self):
         with pytest.raises(StructuralError):
@@ -175,6 +177,14 @@ class TestInt64Bound:
             mm(np.eye(4, dtype=np.int64), m)
         with pytest.raises(StructuralError):
             mm(np.eye(2, dtype=np.int64), m + 1)
+
+    @pytest.mark.parametrize("m", [2**61 - 1, 10**30])
+    def test_checked_before_reducing(self, m):
+        # a modulus beyond int64 would overflow the reduction itself, and a
+        # Mersenne prime must not be trial-divided before it is rejected
+        with within_one_second("ModMatrix"):
+            with pytest.raises(StructuralError, match="too large"):
+                mm([[1, 0], [0, 1]], m)
 
 
 class TestCanonicalKey:
