@@ -1,9 +1,8 @@
 """Twisted conjugacy (Reidemeister) class enumeration and certification
 for finite symplectic matrix groups over Z_m."""
 
-from .automorphisms import (Automorphism, Character, automorphism_order,
-                            character_twist, compose, identity_automorphism,
-                            inner, sign_flip)
+from .automorphisms import (Automorphism, Character, character_twist, compose,
+                            identity_automorphism, inner, sign_flip)
 from .certify import (Certificate, SemidirectGroup, burnside_oracle, growth_scan,
                       prop32_certificate, quotient_epi_check,
                       refined_split_check, semidirect_oracle,
@@ -11,8 +10,8 @@ from .certify import (Certificate, SemidirectGroup, burnside_oracle, growth_scan
 from .errors import (CapacityError, IntegrityError, PreconditionError,
                      SingularMatrixError, StructuralError, UnsupportedTwistError)
 from .generators import sp_order, standard_generators, transvection
-from .group import (FiniteGroup, Partition, class_count, generate_group,
-                    ordinary_classes, restrict_to, twisted_classes)
+from .group import (FiniteGroup, Partition, generate_group, ordinary_classes,
+                    restrict_to, twisted_classes)
 from .modring import (ModMatrix, Modulus, TorusElement, canonical_key, det,
                       from_canonical_key, is_symplectic, mat_inverse, mat_mul)
 
@@ -24,8 +23,7 @@ __all__ = [
     "IntegrityError", "KERNEL_BACKEND", "ModMatrix", "Modulus", "Partition",
     "PreconditionError", "SemidirectGroup", "SingularMatrixError",
     "StructuralError", "TorusElement", "UnsupportedTwistError",
-    "automorphism_order", "burnside_oracle", "canonical_key", "character_twist",
-    "class_count",
+    "burnside_oracle", "canonical_key", "character_twist",
     "compose", "det", "from_canonical_key", "generate_group", "growth_scan",
     "identity_automorphism", "inner", "is_symplectic", "mat_inverse", "mat_mul",
     "ordinary_classes", "prop32_certificate", "quotient_epi_check",

@@ -68,11 +68,11 @@ class Automorphism:
     def __init__(self, group: FiniteGroup, perm: np.ndarray, descriptor: dict,
                  _validated=False):
         self.group = group
-        self.perm = np.asarray(perm, dtype=np.int64)
         self.descriptor = descriptor
         self._order = None
-        if not _validated:
-            _validate_automorphism(group, self.perm, descriptor.get("kind", "?"))
+        if not _validated:  # before the int32 cast, which could wrap an invalid id
+            _validate_automorphism(group, np.asarray(perm), descriptor.get("kind", "?"))
+        self.perm = np.asarray(perm, dtype=np.int32)
 
     def apply_id(self, i: int) -> int:
         return int(self.perm[i])
@@ -102,12 +102,8 @@ class Automorphism:
         return self._order
 
 
-def automorphism_order(a: Automorphism) -> int:
-    return a.order()
-
-
 def identity_automorphism(g: FiniteGroup) -> Automorphism:
-    return Automorphism(g, np.arange(g.order, dtype=np.int64),
+    return Automorphism(g, np.arange(g.order, dtype=np.int32),
                         {"kind": "identity"}, _validated=True)
 
 
@@ -190,9 +186,6 @@ class Character:
 
     def digest(self) -> str:
         return hashlib.sha256(self.values.tobytes()).hexdigest()[:16]
-
-    def kernel_ids(self) -> np.ndarray:
-        return np.nonzero(self.values == 1)[0]
 
 
 def character_twist(chi: Character, base: Automorphism) -> Automorphism:

@@ -18,9 +18,8 @@ from . import kernels
 from .automorphisms import (Automorphism, Character, character_twist, compose,
                             identity_automorphism, inner, sign_flip)
 from .errors import CapacityError, PreconditionError, StructuralError
-from .group import (DEFAULT_CAP, FiniteGroup, class_count, sp_group, twisted_classes,
-                    twisted_moves)
-from .modring import Modulus, TorusElement, _is_prime, check_int64, sign_pattern
+from .group import DEFAULT_CAP, FiniteGroup, sp_group, twisted_classes, twisted_moves
+from .modring import Modulus, TorusElement, _is_prime, check_int64, product_dtype, sign_pattern
 
 PASS = "pass"
 FAIL = "fail"
@@ -122,7 +121,7 @@ def semidirect_oracle(g: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP) -> Cer
     of G x|_phi Z_m; the two are computed by disjoint code paths."""
     semi = SemidirectGroup(g, phi, cap=cap)
     _, coset_classes = semi.coset_conjugacy_classes(k=1 if semi.m > 1 else 0)
-    twisted = class_count(twisted_classes(g, phi))
+    twisted = twisted_classes(g, phi).n_classes
     return Certificate(
         claim_id="lemma6.2-semidirect",
         paper_anchor="Lemma 6.2",
@@ -145,7 +144,7 @@ def burnside_oracle(g: FiniteGroup, phi: Automorphism) -> Certificate:
         g, identity_automorphism(g), cap=g.order).coset_conjugacy_classes(k=0)
     image, well_defined = _class_map(class_of, class_of[phi.perm], n_classes)
     fixed = int(np.count_nonzero(image == np.arange(n_classes)))
-    twisted = class_count(twisted_classes(g, phi))
+    twisted = twisted_classes(g, phi).n_classes
     return Certificate(
         claim_id="tbft-fixed-classes",
         paper_anchor="twisted Burnside-Frobenius theorem (Fel'shtyn-Hill 1994)",
@@ -226,7 +225,7 @@ def refined_split_check(g: FiniteGroup, phi: Automorphism, chi: Character) -> Ce
     p_phi = twisted_classes(g, phi)
     p_twist = twisted_classes(g, character_twist(chi, phi))
     # distinct (phi-class, refined subset) pairs, counted per phi-class
-    pairs = np.unique(p_phi.class_of * n_refined + refined)
+    pairs = np.unique(p_phi.class_of.astype(np.int64) * n_refined + refined)
     split = np.bincount(pairs // n_refined, minlength=p_phi.n_classes)
     max_split = int(split.max())
     unsplit = int(np.count_nonzero(split == 1))
@@ -408,20 +407,19 @@ def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
     check_int64(2 * n, p)
     if not _is_prime(p):
         raise PreconditionError(f"block analysis is restricted to prime moduli, got {p}")
-    mod = Modulus(p)
-    units = mod.units()
     if w is None:
-        w = next(u for u in units if u != 1)
-    if w % p == 0 or w not in units:
+        w = 2  # the least unit != 1 of an odd prime
+    if not 0 < w < p:
         raise PreconditionError(f"w = {w} is not a unit mod {p}")
-    g = sp_group(n, p, cap)
-    wbar = TorusElement(w, n).realize(p).entries
-    elems = g.elements
+    g = sp_group(n, p, cap)  # checks the cap before listing the units
+    dt = product_dtype(2 * n, p)
+    wbar = TorusElement(w, n).realize(p).entries.astype(dt)
+    elems = g.elements.astype(dt)
     lhs = (elems @ wbar) % p
-    flipped = (elems * sign_pattern(2 * n)) % p
+    flipped = ((elems * sign_pattern(2 * n)) % p).astype(dt)
     hits = np.zeros(g.order, dtype=bool)
-    for u in units:
-        t = TorusElement(u, n).realize(p).entries
+    for u in Modulus(p).units():
+        t = TorusElement(u, n).realize(p).entries.astype(dt)
         rhs = (t @ flipped) % p
         hits |= np.all(lhs == rhs, axis=(1, 2))
     hit_ids = np.nonzero(hits)[0]

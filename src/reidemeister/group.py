@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import IntegrityError, StructuralError
-from .generators import standard_generators
-from .modring import ModMatrix, is_symplectic, mat_inverse, symplectic_form
+from .errors import CapacityError, IntegrityError, StructuralError
+from .generators import sp_order, standard_generators
+from .modring import ModMatrix, is_symplectic, mat_inverse, product_dtype, symplectic_form
 
 DEFAULT_CAP = 10**7
 
@@ -49,11 +49,6 @@ class Partition:
         return len(self.representatives)
 
 
-def class_count(p: Partition) -> int:
-    """Number of distinct classes in the partition (the Reidemeister number)."""
-    return p.n_classes
-
-
 class FiniteGroup:
     """Interned, fully enumerated matrix group over Z_m.
 
@@ -62,14 +57,15 @@ class FiniteGroup:
     right is the closure's right Cayley table: right[x, c] is the id of
     x times generator c.  Every group action below is a chain of gathers
     from it; action_table, batched matmul and lookup, is the oracles' own
-    table path and the tests' reference.
+    table path and the tests' reference.  Products of stored elements are
+    taken in product_dtype(dim, m), never in the storage dtype.
     """
 
     def __init__(self, elements, parents, parent_gens, index, right, levels, gen_matrices,
                  gen_source, modulus, symplectic):
-        self.elements = elements  # (G, d, d) int64
-        self.parents = parents
-        self.parent_gens = parent_gens
+        self.elements = elements  # (G, d, d) at entry_dtype(m): uint8 for m <= 256
+        self.parents = parents  # int32
+        self.parent_gens = parent_gens  # the narrowest signed dtype holding k
         self._index = index  # kernels.Index: the elements' sorted radix codes
         self.right = right  # (G, k) int32
         self.levels = levels  # BFS level L holds ids levels[L] <= x < levels[L + 1]
@@ -112,12 +108,14 @@ class FiniteGroup:
         return i
 
     def mul_ids(self, i: int, j: int) -> int:
-        return self._id((self.elements[i] @ self.elements[j]) % self.m)
+        return int(self.products([i], [j])[0])
 
     def products(self, a, b) -> np.ndarray:
-        """ids of a[t] b[t] (-1 if not an element), by matmul and lookup per CHUNK."""
+        """ids of a[t] b[t] (-1 if not an element), by matmul in product_dtype
+        and lookup per CHUNK."""
+        dt = product_dtype(self.dim, self.m)
         return np.concatenate([
-            self.ids_of(np.matmul(self.elements[a[lo:lo + kernels.CHUNK]],
+            self.ids_of(np.matmul(self.elements[a[lo:lo + kernels.CHUNK]].astype(dt),
                                   self.elements[b[lo:lo + kernels.CHUNK]]) % self.m)
             for lo in range(0, len(a), kernels.CHUNK)])
 
@@ -185,20 +183,6 @@ class FiniteGroup:
         """Element ids by ascending canonical_key: the index's read-only ids."""
         return self._index.ids
 
-    def verify_closure(self):
-        """Check closure under multiplication: on all pairs up to order 2000,
-        else on 10**5 random pairs.  Raises IntegrityError on failure."""
-        n = self.order
-        if n <= 2000:
-            left, right = np.divmod(np.arange(n * n), n)
-        else:
-            left, right = random_pairs(n, 10**5)
-        bad = np.flatnonzero(self.products(left, right) < 0)
-        if len(bad):
-            raise IntegrityError(f"product of elements {left[bad[0]]} and "
-                                 f"{right[bad[0]]} escapes the group")
-        return True
-
 
 def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
     """Enumerate the group generated by gens by breadth-first closure.
@@ -224,9 +208,10 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
     elements, parents, parent_gens, index, right, levels = kernels.closure(
         gen_stack, mod.m, cap)
     if symplectic:
-        J = symplectic_form(d // 2) % mod.m
+        dt = product_dtype(d, mod.m)
+        J = (symplectic_form(d // 2) % mod.m).astype(dt)
         for lo in range(0, len(elements), kernels.CHUNK):  # bounds the transient products
-            x = elements[lo:lo + kernels.CHUNK]
+            x = elements[lo:lo + kernels.CHUNK].astype(dt)
             lhs = np.matmul(np.matmul(x.transpose(0, 2, 1), J) % mod.m, x) % mod.m
             bad = np.flatnonzero(np.any(lhs != J, axis=(1, 2)))
             if len(bad):
@@ -236,8 +221,12 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
 
 
 def sp_group(n: int, m: int, cap: int) -> FiniteGroup:
-    """Sp(2n, Z_m), enumerated from its standard generators."""
-    return generate_group(standard_generators(n, m), cap=cap)
+    """Sp(2n, Z_m), enumerated from its standard generators; raises
+    CapacityError before the closure if |Sp(2n, Z_m)| exceeds cap."""
+    gens = standard_generators(n, m)  # rejects n < 1 and moduli past int64 first
+    if sp_order(n, m) > cap:
+        raise CapacityError(cap, sp_order(n, m))
+    return generate_group(gens, cap=cap)
 
 
 def twisted_moves(g: FiniteGroup, phi, conjugators) -> list[np.ndarray]:

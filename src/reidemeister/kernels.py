@@ -5,10 +5,14 @@ permutation moves.
 The element index keys each matrix by its radix code: the row-major
 entries as the digits of one number, most significant first, so codes
 ascend as canonical_key does.  It keeps the sorted codes and their
-argsort, the ids, and lookup() finds a stack of matrices by binary search
+argsort, the int32 ids, and lookup() finds a stack of matrices by binary search
 with np.searchsorted.  Where a code reaches 2**63, the digits are packed
 into big-endian uint64 words, each row's words one np.void key that
 sorts, searches and compares the same way.
+
+Elements are stored at entry_dtype(m) (one byte per entry for m <= 256),
+ids and parents as int32, and every product of stored elements is taken
+in modring.product_dtype, the narrowest dtype in which it is exact.
 """
 
 from dataclasses import dataclass
@@ -16,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, IntegrityError, StructuralError
-from .modring import entry_dtype
+from .modring import entry_dtype, product_dtype
 
 CHUNK = 1 << 12  # frontier elements multiplied per batched matmul; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
 
 
 def _codes(flat, m) -> np.ndarray:
-    """Radix codes of the rows of an (n, D) int64 array with entries in [0, m);
+    """Radix codes of the rows of an (n, D) integer array with entries in [0, m);
     they ascend as the rows' canonical_key does.
 
     Each entry is one digit, most significant first: the entry in base m
@@ -52,9 +56,9 @@ def _codes(flat, m) -> np.ndarray:
 @dataclass(frozen=True)
 class Index:
     """The element index of a group of dim x dim matrices over Z_m: keys
-    holds every element's radix code in ascending order, ids[i] the id of
-    keys[i], so ids lists the elements by ascending canonical_key.  Both
-    arrays are read-only."""
+    holds every element's radix code in ascending order, ids[i] the int32
+    id of keys[i], so ids lists the elements by ascending canonical_key.
+    Both arrays are read-only."""
 
     m: int
     dim: int
@@ -66,7 +70,7 @@ def build_index(elements, m) -> Index:
     """The Index of a (n, d, d) stack of distinct reduced matrices; id i is row i."""
     n, d, _ = elements.shape
     keys = _codes(elements.reshape(n, d * d), m)
-    ids = np.argsort(keys)
+    ids = np.argsort(keys).astype(np.int32)
     keys = keys[ids]
     keys.flags.writeable = ids.flags.writeable = False
     return Index(m, d, keys, ids)
@@ -75,7 +79,7 @@ def build_index(elements, m) -> Index:
 def _search(keys, ids, needles) -> np.ndarray:
     """ids of the needles among the sorted keys (ids[i] is keys[i]'s); -1 where absent."""
     if not len(keys):
-        return np.full(len(needles), -1, dtype=np.int64)
+        return np.full(len(needles), -1, dtype=np.int32)
     pos = np.searchsorted(keys, needles)
     np.minimum(pos, len(keys) - 1, out=pos)
     return np.where(keys[pos] == needles, ids[pos], -1)
@@ -85,13 +89,13 @@ def lookup(mats, index) -> np.ndarray:
     """Element ids of a (n, d, d) stack of matrices; -1 where one is not an
     element, including any matrix with an entry outside [0, m), which the
     index does not hold (a radix code would carry it into the next digit)."""
-    mats = np.ascontiguousarray(mats, dtype=np.int64)
+    mats = np.asarray(mats)
     d, m = index.dim, index.m
     if mats.shape[1:] != (d, d):
-        return np.full(len(mats), -1, dtype=np.int64)
+        return np.full(len(mats), -1, dtype=np.int32)
     flat = mats.reshape(len(mats), d * d)
     ids = _search(index.keys, index.ids, _codes(flat, m))
-    ids[~(flat.view(np.uint64) < m).all(axis=1)] = -1  # negatives read as huge
+    ids[~((flat >= 0) & (flat < m)).all(axis=1)] = -1
     return ids
 
 
@@ -104,7 +108,8 @@ def closure(gens, m, cap):
     element 0 is the identity (parents[0] = parent_gens[0] = -1), index is
     the elements' Index, right is the (n, k) int32 right Cayley table
     (right[x, c] is the id of elements[x] @ gens[c]) and BFS level L holds
-    the ids levels[L] <= x < levels[L + 1].
+    the ids levels[L] <= x < levels[L + 1].  elements are entry_dtype(m),
+    parents int32 and parent_gens the narrowest signed dtype holding k.
 
     The frontier is expanded a level at a time, its products computed in
     chunks.  The generators are closed under inverses, so a product x g of
@@ -121,21 +126,22 @@ def closure(gens, m, cap):
     the cap.
     """
     k, d, _ = gens.shape
-    gens = gens % m
+    store, gen_dtype = np.dtype(entry_dtype(m)), np.min_scalar_type(-k)
+    gens = (gens % m).astype(product_dtype(d, m))  # stored elements promote to it
     cap = min(cap, ID_LIMIT)
-    ident = np.eye(d, dtype=np.int64)
+    ident = np.eye(d, dtype=store)
     # inv_col[c]: the column of gens[c]^-1; inv_col[-1] = -1 for the root
     pairs = np.all(np.matmul(gens[:, None], gens) % m == ident, axis=(2, 3))
     if not pairs.any(axis=1).all():
         raise StructuralError("closure needs a generator set closed under inverses")
     inv_col = np.append(pairs.argmax(axis=1), -1)
-    root = np.array([-1], dtype=np.int64)
-    elements, parents, parent_gens, right = [ident[None]], [root], [root], []
+    root, root_gen = np.array([-1], dtype=np.int32), np.array([-1], dtype=gen_dtype)
+    elements, parents, parent_gens, right = [ident[None]], [root], [root_gen], []
     # the sorted codes of levels L - 1 and L, and their ids
-    cur = (_codes(ident.reshape(1, -1), m), np.zeros(1, dtype=np.int64))
+    cur = (_codes(ident.reshape(1, -1), m), np.zeros(1, dtype=np.int32))
     prev = (cur[0][:0], cur[1][:0])
     frontier, frontier_start, count, levels = elements[0], 0, 1, [0]
-    up, up_gens = root, root  # the frontier's parents and parent_gens
+    up, up_gens = root, root_gen  # the frontier's parents and parent_gens
     while len(frontier):
         levels.append(count)
         ids = np.full(len(frontier) * k, -1, dtype=np.int32)
@@ -161,14 +167,14 @@ def closure(gens, m, cap):
         if count + len(first) > cap:
             raise CapacityError(cap, max(count, cap))
         rank = np.argsort(first)  # the new elements in sequential BFS order
-        new_ids = np.empty(len(first), dtype=np.int64)
+        new_ids = np.empty(len(first), dtype=np.int32)
         new_ids[rank] = np.arange(count, count + len(first))
         found[miss] = np.repeat(new_ids, np.diff(np.append(run, len(miss))))
         ids[at] = found
         right.append(ids.reshape(-1, k))
         first = first[rank]
-        frontier = np.matmul(frontier[first // k], gens[first % k]) % m
-        up, up_gens = frontier_start + first // k, first % k
+        frontier = (np.matmul(frontier[first // k], gens[first % k]) % m).astype(store)
+        up, up_gens = (frontier_start + first // k).astype(np.int32), (first % k).astype(gen_dtype)
         elements.append(frontier)
         parents.append(up)
         parent_gens.append(up_gens)
@@ -185,9 +191,10 @@ def action_table(elems, left, right, m, index) -> np.ndarray:
 
     Raises IntegrityError naming the first x whose image is not indexed.
     Built CHUNK elements at a time, which bounds the transient products
-    and lookup keys.
+    and lookup keys; the products are taken in product_dtype.
     """
-    left, right = left % m, right % m
+    dt = product_dtype(index.dim, m)
+    left, right = ((np.asarray(a, dtype=np.int64) % m).astype(dt) for a in (left, right))
     ids = np.concatenate([
         lookup(np.matmul(np.matmul(left, elems[lo:lo + CHUNK]) % m, right) % m, index)
         for lo in range(0, len(elems), CHUNK)])
@@ -201,8 +208,8 @@ def orbits(moves, n):
     """Orbits on range(n) of the group generated by the permutations in moves.
 
     moves: list of (n,) id arrays, each a permutation of range(n); it need
-    not be closed under inverses.  Returns (labels, count) with orbits
-    numbered in the order of their least element.
+    not be closed under inverses.  Returns (labels, count): int32 labels,
+    the orbits numbered in the order of their least element.
 
     Min-label propagation with root hooking and pointer jumping
     (Shiloach-Vishkin 1982): for each move t, the roots label[x] and
@@ -216,7 +223,7 @@ def orbits(moves, n):
     permutation's cycle reaches back to its start, so forward moves alone
     connect an orbit).
     """
-    label = np.arange(n, dtype=np.int64)
+    label = np.arange(n, dtype=np.int32)
     while True:
         new = label.copy()
         for t in moves:
@@ -231,5 +238,7 @@ def orbits(moves, n):
         if np.array_equal(new, label):
             break
         label = new
-    roots, labels = np.unique(label, return_inverse=True)
-    return labels, len(roots)
+    roots = np.flatnonzero(label == np.arange(n, dtype=np.int32))  # ascending
+    number = np.empty(n, dtype=np.int32)
+    number[roots] = np.arange(len(roots), dtype=np.int32)
+    return number[label], len(roots)

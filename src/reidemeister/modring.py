@@ -40,6 +40,16 @@ def check_int64(dim: int, m: int):
             f"modulus {m} too large for exact int64 products in dimension {dim}")
 
 
+def product_dtype(dim: int, m: int) -> np.dtype:
+    """uint8, uint16, int32 or int64: the first to hold dim * (m - 1)^2, so
+    that dim x dim products over Z_m are exact in it.  uint8 @ uint8 wraps
+    silently: every matmul over stored elements casts through this."""
+    check_int64(dim, m)
+    top = dim * (m - 1) ** 2
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.int32, np.int64)
+                if top <= np.iinfo(t).max)
+
+
 @dataclass(frozen=True)
 class Modulus:
     m: int
@@ -101,9 +111,6 @@ class ModMatrix:
 
     def __matmul__(self, other):
         return mat_mul(self, other)
-
-    def __neg__(self):
-        return ModMatrix(-self.entries, self.modulus)
 
     def __repr__(self):
         rows = ", ".join("[" + " ".join(str(x) for x in r) + "]" for r in self.entries)

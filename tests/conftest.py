@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from reidemeister import kernels
+from reidemeister.group import random_pairs
+from reidemeister.modring import entry_dtype
 
 # criterion number -> verdict line, filled by tests/test_acceptance.py
 ACCEPTANCE_RESULTS = {}
@@ -126,7 +128,9 @@ def reference_closure(gens, m, cap):
     Returns (elements, parents, parent_gens, right, levels): right[x, j] is
     the id of elements[x] @ gens[j], and BFS level L holds the ids
     levels[L] <= x < levels[L + 1].  The kernel must match all five bit
-    for bit.
+    for bit, in the storage dtypes: elements at entry_dtype(m), parents
+    int32, parent_gens the narrowest signed dtype holding k.  The products
+    here are int64.
     """
     k, d, _ = gens.shape
     gens = gens % m
@@ -160,9 +164,9 @@ def reference_closure(gens, m, cap):
             right.append(row)
         frontier = new_frontier
     return (
-        np.ascontiguousarray(np.stack(elems)),
-        np.array(parents, dtype=np.int64),
-        np.array(parent_gens, dtype=np.int64),
+        np.ascontiguousarray(np.stack(elems)).astype(entry_dtype(m)),
+        np.array(parents, dtype=np.int32),
+        np.array(parent_gens, dtype=np.min_scalar_type(-k)),
         np.array(right, dtype=np.int32),
         np.array(levels, dtype=np.int64),
     )
@@ -171,8 +175,24 @@ def reference_closure(gens, m, cap):
 def reference_ids(group, mats):
     """Bytes-dict reference for FiniteGroup.ids_of: every element's raw
     row-major int64 bytes mapped to its id, probed once per matrix."""
-    index = {e.tobytes(): i for i, e in enumerate(group.elements)}
+    index = {e.tobytes(): i for i, e in enumerate(group.elements.astype(np.int64))}
     return [index.get(np.ascontiguousarray(x, dtype=np.int64).tobytes(), -1) for x in mats]
+
+
+def verify_closure(g):
+    """Checks g is closed under multiplication by matmul and lookup: on all
+    pairs up to order 2000, else on 10**5 random pairs.  Raises
+    IntegrityError on failure."""
+    n = g.order
+    if n <= 2000:
+        left, right = np.divmod(np.arange(n * n), n)
+    else:
+        left, right = random_pairs(n, 10**5)
+    bad = np.flatnonzero(g.products(left, right) < 0)
+    if len(bad):
+        raise rm.IntegrityError(f"product of elements {left[bad[0]]} and "
+                                f"{right[bad[0]]} escapes the group")
+    return True
 
 
 def reference_character_values(group, gen_values):
@@ -213,7 +233,7 @@ def reference_refined_partition(g, phi, chi):
     """Refined partition of refined_split_check with every element a of
     H = ker(chi) as a move y -> a y phi(a)^-1."""
     moves = [g.move_table(a, g.inverse_id(phi.apply_id(a)))
-             for a in chi.kernel_ids().tolist()]
+             for a in np.flatnonzero(chi.values == 1).tolist()]
     return kernels.orbits(moves, g.order)
 
 
@@ -242,7 +262,7 @@ def brute_force_twisted_partition(g, phi):
     """Independent O(|G|^2) oracle: union-find over x ~ a x phi(a)^-1 with
     every group element as a move, no generator moves or orbit kernel.  All
     |G|^2 products come from one matmul and one ids_of."""
-    m, n, elems = g.m, g.order, g.elements
+    m, n, elems = g.m, g.order, g.elements.astype(np.int64)
     inv_images = elems[[g.inverse_id(phi.apply_id(a)) for a in range(n)]]
     prods = np.matmul(np.matmul(elems[:, None], elems) % m, inv_images[:, None]) % m
     ids = g.ids_of(prods.reshape(n * n, g.dim, g.dim))  # row a, column x

@@ -24,7 +24,7 @@ class TestSignFlip:
     def test_involution(self, sp2_5):
         phi = rm.sign_flip(sp2_5)
         assert np.array_equal(phi.perm[phi.perm], np.arange(sp2_5.order))
-        assert rm.automorphism_order(phi) == 2
+        assert phi.order() == 2
 
     def test_dim4(self):
         g = rm.generate_group(rm.standard_generators(2, 3))
@@ -42,8 +42,8 @@ class TestInner:
 
     def test_group_element_gives_ordinary_count(self, sp2_5):
         theta = sp2_5.element(7)
-        count = rm.class_count(rm.twisted_classes(sp2_5, rm.inner(sp2_5, theta)))
-        assert count == rm.class_count(rm.ordinary_classes(sp2_5))
+        count = rm.twisted_classes(sp2_5, rm.inner(sp2_5, theta)).n_classes
+        assert count == rm.ordinary_classes(sp2_5).n_classes
 
     def test_diag_matches_sign_flip(self, sp2_5, sp2_7):
         for g in (sp2_5, sp2_7):
@@ -79,7 +79,7 @@ class TestInner:
         u2 = sp2_5.mul_ids(uid, uid)
         assert sp2_5.element(u2) == rm.ModMatrix([[-1, 0], [0, -1]], 5)
         phi = rm.inner(sp2_5, u)
-        assert rm.automorphism_order(phi) == 2
+        assert phi.order() == 2
 
     def test_descriptor(self, sp2_5):
         u = sp2_5.element(3)
@@ -223,7 +223,7 @@ class TestParseDescriptor:
 
 class TestOrder:
     def test_identity(self, sp2_5):
-        assert rm.automorphism_order(rm.identity_automorphism(sp2_5)) == 1
+        assert rm.identity_automorphism(sp2_5).order() == 1
 
     def test_lazy_idempotent(self, sp2_5):
         phi = rm.sign_flip(sp2_5)

@@ -145,7 +145,7 @@ def _generator_keys(m):
     return [canonical_key(ModMatrix(g.gen_matrices[c], g.modulus)).hex() for c in first]
 
 
-KEYS = {m: _generator_keys(m) for m in (4, 5)}
+KEYS = {m: _generator_keys(m) for m in (4, 5, 6, 8, 9, 10, 12)}
 
 
 def _exit_status(argv):
@@ -193,6 +193,22 @@ class TestRandomInput:
         code, err = _exit_status(["twisted", "--modulus", str(m), f"--aut=twist:{path}"])
         assert code in (0, 1, 2), err
         assert code == 0 or err.startswith("error: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([4, 6, 8, 9, 10, 12]),
+           st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2))
+    def test_random_character_twists(self, tmp_path_factory, m, values):
+        # A +-1 character of Sp(2, Z_m) = SL(2, Z_m) takes one value on both
+        # shears, which are conjugate up to inversion, and that value is +1
+        # for odd m, the shears' order; for even m, -1 is the sign of
+        # SL(2, Z_2) = S_3 pulled back.  Every other draw must exit 2.
+        path = tmp_path_factory.mktemp("twist") / "twist.txt"
+        path.write_text("".join(f"{key}={v:+d}\n" for key, v in zip(KEYS[m], values)))
+        code, err = _exit_status(["twisted", "--modulus", str(m), f"--aut=twist:{path}"])
+        assert code in (0, 1, 2), err
+        assert code == 0 or err.startswith("error: ")
+        is_character = values[0] == values[1] and (values[0] == 1 or m % 2 == 0)
+        assert code == (0 if is_character else 2), err
 
 
 class TestCertifyCommands:
@@ -345,6 +361,26 @@ class TestBadInput:
         assert code == 2, err
         assert out == ""
         assert "too large" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "--n", "2", "--modulus", "7"),
+        ("blocks-thm33", "--modulus", "1000000007"),
+    ])
+    def test_over_cap_group_exits_at_once(self, capsys, argv):
+        # |Sp(4, Z_7)| = 276,595,200 and |Sp(4, Z_1000000007)| exceed the
+        # default cap of 10**7: the order formula says so before any closure
+        with within_one_second(argv[0]):
+            code, out, err = run(capsys, *argv)
+        assert code == 3, err
+        assert out == ""
+        assert "capacity" in err
+
+    def test_thm33_modulus_without_w(self, capsys):
+        # the only unit of Z_2 is 1, so the default w = 2 is no unit
+        code, out, err = run(capsys, "blocks-thm33", "--modulus", "2")
+        assert code == 2, err
+        assert out == ""
+        assert "w = 2 is not a unit mod 2" in err
 
     def test_inner_entries_beyond_int64(self, capsys):
         # 10**20 - 1 = 4 (mod 5): conjugation by diag(-1, 1), the sign flip

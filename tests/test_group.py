@@ -10,7 +10,8 @@ from reidemeister.group import twisted_moves
 from reidemeister.errors import (CapacityError, IntegrityError, SingularMatrixError,
                                  StructuralError)
 
-from conftest import brute_force_twisted_partition, small_groups_with_automorphism
+from conftest import (brute_force_twisted_partition, small_groups_with_automorphism,
+                      verify_closure)
 
 
 class TestGenerateGroup:
@@ -73,7 +74,7 @@ class TestGenerateGroup:
             assert np.array_equal(prod, sp2_5.elements[i])
 
     def test_verify_closure(self, sp2_5):
-        assert sp2_5.verify_closure()
+        assert verify_closure(sp2_5)
 
     def test_verify_closure_reports_escape(self, sp2_5):
         # the same group with its last element dropped is not closed
@@ -83,7 +84,7 @@ class TestGenerateGroup:
                            index, sp2_5.right[:n], sp2_5.levels, sp2_5.gen_matrices,
                            sp2_5.gen_source, sp2_5.modulus, True)
         with pytest.raises(IntegrityError, match="escapes the group"):
-            g.verify_closure()
+            verify_closure(g)
 
 
 class TestPartitions:
@@ -162,8 +163,8 @@ class TestPartitions:
         n = sp2_5.order
 
         def act(a, x):
-            prod = (sp2_5.elements[a] @ sp2_5.elements[x]
-                    @ sp2_5.elements[sp2_5.inverse_id(phi.apply_id(a))]) % sp2_5.m
+            elems = sp2_5.elements.astype(np.int64)
+            prod = (elems[a] @ elems[x] @ elems[sp2_5.inverse_id(phi.apply_id(a))]) % sp2_5.m
             return sp2_5.id_of(rm.ModMatrix(prod, sp2_5.modulus))
 
         for _ in range(500):
@@ -213,6 +214,17 @@ class TestGatheredTables:
                                       g.action_table(g.elements[x], ident))
                 assert np.array_equal(g.times(np.arange(g.order), x),
                                       g.action_table(ident, g.elements[x]))
+
+    def test_gathered_tables_past_the_storage_width(self, sp2_13):
+        # 2 * 12^2 = 288 > 255: products of these uint8 elements are exact
+        # only in product_dtype, and a uint8 matmul would wrap
+        g, ident = sp2_13, np.eye(2, dtype=np.int64)
+        assert g.elements.dtype == np.uint8
+        for x in range(0, g.order, 97):
+            assert np.array_equal(g.times(np.arange(g.order), x),
+                                  g.action_table(ident, g.elements[x]))
+            assert np.array_equal(g.extend(g.generators, start=x),
+                                  g.action_table(g.elements[x], ident))
 
     def test_twisted_classes_move_by_user_generators(self, monkeypatch, sp2_7):
         # 2 user generators plus their inverses are augmented to 4 columns;
@@ -268,4 +280,4 @@ class TestRestrictTo:
 
     def test_class_count_is_label_count(self, sp2_5):
         part = rm.twisted_classes(sp2_5, rm.sign_flip(sp2_5))
-        assert rm.class_count(part) == len(set(int(c) for c in part.class_of))
+        assert part.n_classes == len(set(int(c) for c in part.class_of))

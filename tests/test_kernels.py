@@ -191,7 +191,7 @@ def test_lookup_marks_missing_rows(sp2_5):
 
 def test_lookup_rejects_unreduced_entries(sp2_5):
     # a radix code would carry an entry equal to m into the next digit
-    x = sp2_5.elements[17]
+    x = sp2_5.elements[17].astype(np.int64)
     shifted, negative = x.copy(), x.copy()
     shifted[0, 1] += 5
     negative[1, 0] -= 5
@@ -224,7 +224,7 @@ def lookup_stacks(draw, g):
 
     @st.composite
     def unreduced(draw):
-        x = g.elements[draw(st.integers(0, g.order - 1))].copy()
+        x = g.elements[draw(st.integers(0, g.order - 1))].astype(np.int64)
         at = draw(st.integers(0, d * d - 1))
         x.flat[at] = draw(st.one_of(
             st.integers(-(2**63), -1), st.integers(m, 2**63 - 1),

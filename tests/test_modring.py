@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from reidemeister.errors import SingularMatrixError, StructuralError
-from reidemeister.modring import Modulus, _is_prime, entry_dtype
+from reidemeister.modring import Modulus, _is_prime, entry_dtype, product_dtype
 
 from conftest import within_one_second
 
@@ -185,6 +185,35 @@ class TestInt64Bound:
         with within_one_second("ModMatrix"):
             with pytest.raises(StructuralError, match="too large"):
                 mm([[1, 0], [0, 1]], m)
+
+
+class TestProductDtype:
+    """product_dtype(d, m) holds d * (m - 1)^2, the entries of the product of
+    two all-(m - 1) matrices, in the narrowest of uint8, uint16, int32 and
+    int64; each case sits just below or just above one of those bounds."""
+
+    @pytest.mark.parametrize("d,m,want", [
+        (255, 2, np.uint8),  # 255, the uint8 maximum
+        (256, 2, np.uint16),  # 256
+        (2, 12, np.uint8),  # 242
+        (2, 13, np.uint16),  # 288
+        (2, 182, np.uint16),  # 65,522
+        (4, 129, np.int32),  # 65,536 = 2^16
+        (2, 32768, np.int32),  # 2,147,352,578
+        (2, 32769, np.int64),  # 2^31
+        (2, 2**31, np.int64),  # 2^63 - 2^33 + 2
+    ])
+    def test_exact_at_each_bound(self, d, m, want):
+        a = np.full((d, d), m - 1, dtype=np.int64)
+        dt = product_dtype(d, m)
+        got = a.astype(dt) @ a.astype(dt)
+        assert np.array_equal(got, a @ a)
+        assert all(int(x) == d * (m - 1) ** 2 for x in got.flat[:3])
+        assert dt == want
+
+    def test_past_int64_rejected(self):
+        with pytest.raises(StructuralError, match="too large"):
+            product_dtype(2, 2**31 + 1)  # 2 * (2^31)^2 = 2^63
 
 
 class TestCanonicalKey:
