@@ -10,10 +10,9 @@ from .certify import (Certificate, SemidirectGroup, burnside_oracle, growth_scan
 from .errors import (CapacityError, IntegrityError, PreconditionError,
                      SingularMatrixError, StructuralError, UnsupportedTwistError)
 from .generators import sp_order, standard_generators, transvection
-from .group import (FiniteGroup, Partition, generate_group, ordinary_classes,
-                    restrict_to, twisted_classes)
-from .modring import (ModMatrix, Modulus, TorusElement, canonical_key, det,
-                      from_canonical_key, is_symplectic, mat_inverse, mat_mul)
+from .group import FiniteGroup, Partition, generate_group, ordinary_classes, twisted_classes
+from .modring import (ModMatrix, Modulus, TorusElement, canonical_key, det, is_symplectic,
+                      mat_inverse)
 
 __version__ = "0.1.0"
 KERNEL_BACKEND = "numpy"  # the one kernel path; recorded with benchmark runs
@@ -24,10 +23,10 @@ __all__ = [
     "PreconditionError", "SemidirectGroup", "SingularMatrixError",
     "StructuralError", "TorusElement", "UnsupportedTwistError",
     "burnside_oracle", "canonical_key", "character_twist",
-    "compose", "det", "from_canonical_key", "generate_group", "growth_scan",
-    "identity_automorphism", "inner", "is_symplectic", "mat_inverse", "mat_mul",
+    "compose", "det", "generate_group", "growth_scan",
+    "identity_automorphism", "inner", "is_symplectic", "mat_inverse",
     "ordinary_classes", "prop32_certificate", "quotient_epi_check",
-    "refined_split_check", "restrict_to", "semidirect_oracle",
+    "refined_split_check", "semidirect_oracle",
     "shift_bijection_check", "sign_flip", "sp_order", "standard_generators",
     "thm33_block_certificate", "transvection", "twisted_classes",
 ]

@@ -21,7 +21,7 @@ from . import kernels
 from .errors import (IntegrityError, PreconditionError, StructuralError,
                      UnsupportedTwistError)
 from .group import FiniteGroup, random_pairs
-from .modring import ModMatrix, canonical_key, mat_inverse, sign_pattern
+from .modring import ModMatrix, canonical_key, mat_inverse, matmul_mod, sign_pattern
 
 RANDOM_PAIR_SAMPLES = 1000
 
@@ -123,7 +123,7 @@ def inner(g: FiniteGroup, u: ModMatrix) -> Automorphism:
     if u.dim != g.dim or u.m != g.m:
         raise StructuralError("conjugator has wrong dimension or modulus")
     uinv = mat_inverse(u)
-    images = g.ids_of((u.entries @ g.gen_matrices % g.m) @ uinv.entries % g.m)
+    images = g.ids_of(matmul_mod(g.m, u.entries, g.gen_matrices, uinv.entries))
     escaped = np.flatnonzero(images < 0)
     if len(escaped):
         raise IntegrityError(f"conjugate of generator {g.generators[escaped[0]]} escapes "

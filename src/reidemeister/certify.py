@@ -19,7 +19,7 @@ from .automorphisms import (Automorphism, Character, character_twist, compose,
                             identity_automorphism, inner, sign_flip)
 from .errors import CapacityError, PreconditionError, StructuralError
 from .group import DEFAULT_CAP, FiniteGroup, sp_group, twisted_classes, twisted_moves
-from .modring import Modulus, TorusElement, _is_prime, check_int64, product_dtype, sign_pattern
+from .modring import TorusElement, _is_prime, check_int64, matmul_mod, sign_pattern
 
 PASS = "pass"
 FAIL = "fail"
@@ -55,9 +55,10 @@ class SemidirectGroup:
     (g, k)(h, l) = (g phi^k(h), k + l).
 
     Never re-interned as matrices; only the conjugacy structure is needed.
-    Products are matmuls looked up in the element index: neither the
-    scalar mult (FiniteGroup.products) nor the move tables (action_table)
-    use the Cayley-table gathers that twisted_classes is built on.
+    Products are matmuls looked up in the element index: the scalar mult
+    and the move tables (FiniteGroup.products and action_table) both go
+    through kernels.product_ids, never the Cayley-table gathers that
+    twisted_classes is built on.
     """
 
     def __init__(self, base: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP):
@@ -411,16 +412,13 @@ def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
         w = 2  # the least unit != 1 of an odd prime
     if not 0 < w < p:
         raise PreconditionError(f"w = {w} is not a unit mod {p}")
-    g = sp_group(n, p, cap)  # checks the cap before listing the units
-    dt = product_dtype(2 * n, p)
-    wbar = TorusElement(w, n).realize(p).entries.astype(dt)
-    elems = g.elements.astype(dt)
-    lhs = (elems @ wbar) % p
-    flipped = ((elems * sign_pattern(2 * n)) % p).astype(dt)
+    g = sp_group(n, p, cap)  # checks the cap before the loop over the units
+    elems = g.elements
+    lhs = matmul_mod(p, elems, TorusElement(w, n).realize(p).entries)
+    flipped = ((elems * sign_pattern(2 * n)) % p).astype(elems.dtype)
     hits = np.zeros(g.order, dtype=bool)
-    for u in Modulus(p).units():
-        t = TorusElement(u, n).realize(p).entries.astype(dt)
-        rhs = (t @ flipped) % p
+    for u in range(1, p):  # p is prime: every u is a unit
+        rhs = matmul_mod(p, TorusElement(u, n).realize(p).entries, flipped)
         hits |= np.all(lhs == rhs, axis=(1, 2))
     hit_ids = np.nonzero(hits)[0]
     off_low = elems[hit_ids][:, 2:, :2]

@@ -15,7 +15,7 @@ import numpy as np
 from . import kernels
 from .errors import CapacityError, IntegrityError, StructuralError
 from .generators import sp_order, standard_generators
-from .modring import ModMatrix, is_symplectic, mat_inverse, product_dtype, symplectic_form
+from .modring import ModMatrix, is_symplectic, mat_inverse
 
 DEFAULT_CAP = 10**7
 
@@ -56,9 +56,8 @@ class FiniteGroup:
     the ids of the inverse-augmented generating set actually used for BFS.
     right is the closure's right Cayley table: right[x, c] is the id of
     x times generator c.  Every group action below is a chain of gathers
-    from it; action_table, batched matmul and lookup, is the oracles' own
-    table path and the tests' reference.  Products of stored elements are
-    taken in product_dtype(dim, m), never in the storage dtype.
+    from it; products and action_table, one kernels.product_ids call each,
+    are the oracles' own path and the tests' reference.
     """
 
     def __init__(self, elements, parents, parent_gens, index, right, levels, gen_matrices,
@@ -92,7 +91,10 @@ class FiniteGroup:
         return ModMatrix(self.elements[i], self.modulus)
 
     def id_of(self, mat: ModMatrix) -> int:
-        return self._id(mat.entries)
+        i = int(self.ids_of(mat.entries[None])[0])
+        if i < 0:
+            raise StructuralError("matrix is not an element of this group")
+        return i
 
     def contains(self, mat: ModMatrix) -> bool:
         return self.ids_of(mat.entries[None])[0] >= 0
@@ -101,33 +103,28 @@ class FiniteGroup:
         """ids of a (n, d, d) stack of matrices; -1 where one is not an element."""
         return kernels.lookup(mats, self._index)
 
-    def _id(self, entries) -> int:
-        i = int(self.ids_of(entries[None])[0])
-        if i < 0:
-            raise StructuralError("matrix is not an element of this group")
-        return i
-
     def mul_ids(self, i: int, j: int) -> int:
         return int(self.products([i], [j])[0])
 
     def products(self, a, b) -> np.ndarray:
-        """ids of a[t] b[t] (-1 if not an element), by matmul in product_dtype
-        and lookup per CHUNK."""
-        dt = product_dtype(self.dim, self.m)
-        return np.concatenate([
-            self.ids_of(np.matmul(self.elements[a[lo:lo + kernels.CHUNK]].astype(dt),
-                                  self.elements[b[lo:lo + kernels.CHUNK]]) % self.m)
-            for lo in range(0, len(a), kernels.CHUNK)])
+        """ids of a[t] b[t] (-1 if not an element), by kernels.product_ids."""
+        return kernels.product_ids(self._index, self.elements[a], self.elements[b])
 
     def inverse_id(self, i: int) -> int:
-        return self._id(mat_inverse(self.element(i)).entries)
+        return self.id_of(mat_inverse(self.element(i)))
 
     def action_table(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """ids of left @ x @ right over all elements x by batched matmul and
-        lookup; raises IntegrityError on escape.  The semidirect and Burnside
-        oracles build their tables with it, apart from the gathered tables
-        below, and the tests compare those with it."""
-        return kernels.action_table(self.elements, left, right, self.m, self._index)
+        """ids of left @ x @ right mod m over all elements x, by
+        kernels.product_ids; left and right are reduced mod m first.  Raises
+        IntegrityError naming the first x whose image is not an element.
+        The semidirect and Burnside oracles build their tables with it, apart
+        from the gathered tables below, and the tests compare those with it."""
+        left, right = (np.asarray(a, dtype=np.int64) % self.m for a in (left, right))
+        ids = kernels.product_ids(self._index, left, self.elements, right)
+        bad = np.flatnonzero(ids < 0)
+        if len(bad):
+            raise IntegrityError(f"action image of element {bad[0]} is not in the group")
+        return ids
 
     def user_generators(self) -> dict[int, int]:
         """{i: id} for each user generator i that gen_source names (a repeated
@@ -175,10 +172,6 @@ class FiniteGroup:
             tab[lo:hi] = level
         return tab
 
-    def move_table(self, s: int, w: int) -> np.ndarray:
-        """ids of s x w for every x: left multiplication by s, then w's word."""
-        return self.times(self.extend(self.generators, start=s), w)
-
     def lex_order(self) -> np.ndarray:
         """Element ids by ascending canonical_key: the index's read-only ids."""
         return self._index.ids
@@ -199,21 +192,17 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
         if g.dim != d or g.m != mod.m:
             raise StructuralError("generators must share dimension and modulus")
     inverses = [mat_inverse(g) for g in gens]  # raises SingularMatrixError
-    symplectic = all(is_symplectic(g) for g in gens)
     # the generators, then their inverses, each kept at its first occurrence
     stack = np.stack([g.entries for g in [*gens, *inverses]])
+    symplectic = bool(is_symplectic(stack[:len(gens)], mod.m).all())
     first = np.sort(np.unique(stack.reshape(len(stack), -1), axis=0, return_index=True)[1])
     gen_stack = np.ascontiguousarray(stack[first])
     source = [int(i) % len(gens) for i in first]
     elements, parents, parent_gens, index, right, levels = kernels.closure(
         gen_stack, mod.m, cap)
     if symplectic:
-        dt = product_dtype(d, mod.m)
-        J = (symplectic_form(d // 2) % mod.m).astype(dt)
         for lo in range(0, len(elements), kernels.CHUNK):  # bounds the transient products
-            x = elements[lo:lo + kernels.CHUNK].astype(dt)
-            lhs = np.matmul(np.matmul(x.transpose(0, 2, 1), J) % mod.m, x) % mod.m
-            bad = np.flatnonzero(np.any(lhs != J, axis=(1, 2)))
+            bad = np.flatnonzero(~is_symplectic(elements[lo:lo + kernels.CHUNK], mod.m))
             if len(bad):
                 raise IntegrityError(f"element {lo + bad[0]} violates the symplectic condition")
     return FiniteGroup(elements, parents, parent_gens, index, right, levels, gen_stack,
@@ -232,7 +221,8 @@ def sp_group(n: int, m: int, cap: int) -> FiniteGroup:
 def twisted_moves(g: FiniteGroup, phi, conjugators) -> list[np.ndarray]:
     """One move x -> a x phi(a)^-1 per conjugator id a, by gathers; through
     kernels.orbits, conjugators generating H give the orbits of all of H."""
-    return [g.move_table(a, g.inverse_id(phi.apply_id(a))) for a in conjugators]
+    return [g.times(g.extend(g.generators, start=a), g.inverse_id(phi.apply_id(a)))
+            for a in conjugators]
 
 
 def twisted_classes(g: FiniteGroup, phi) -> Partition:
@@ -257,13 +247,3 @@ def ordinary_classes(g: FiniteGroup) -> Partition:
 
     return twisted_classes(g, identity_automorphism(g))
 
-
-def restrict_to(p: Partition, subset) -> list[tuple[int, int]]:
-    """Class labels of exactly the requested element ids, in input order."""
-    n = len(p.class_of)
-    out = []
-    for i in subset:
-        if not 0 <= i < n:
-            raise StructuralError(f"unknown element id {i}")
-        out.append((int(i), int(p.class_of[i])))
-    return out

@@ -1,6 +1,6 @@
 """Hot kernels: breadth-first closure under generators, the element index and
-right Cayley table it builds, batched group-action tables and orbits of
-permutation moves.
+right Cayley table it builds, chunked products looked up in the index, and
+orbits of permutation moves.
 
 The element index keys each matrix by its radix code: the row-major
 entries as the digits of one number, most significant first, so codes
@@ -11,16 +11,16 @@ into big-endian uint64 words, each row's words one np.void key that
 sorts, searches and compares the same way.
 
 Elements are stored at entry_dtype(m) (one byte per entry for m <= 256),
-ids and parents as int32, and every product of stored elements is taken
-in modring.product_dtype, the narrowest dtype in which it is exact.
+ids and parents as int32, and every product is taken by modring.matmul_mod,
+in the narrowest dtype in which it is exact.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, IntegrityError, StructuralError
-from .modring import entry_dtype, product_dtype
+from .errors import CapacityError, StructuralError
+from .modring import entry_dtype, matmul_mod
 
 CHUNK = 1 << 12  # frontier elements multiplied per batched matmul; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
@@ -33,9 +33,10 @@ def _codes(flat, m) -> np.ndarray:
     Each entry is one digit, most significant first: the entry in base m
     for m <= 256, else its entry_dtype(m) bytes read big-endian (canonical_key
     stores them little-endian).  Digits are packed `per` at a time into int64
-    words, base**per < 2**63.  One word is the code itself.  Several are
-    stored big-endian and each row's words viewed as one np.void key, which
-    compares bytewise as the words do, first word first.
+    words, base**per < 2**63, by Horner's rule over the digit columns.  One
+    word is the code itself.  Several are stored big-endian and each row's
+    words viewed as one np.void key, which compares bytewise as the words
+    do, first word first.
     """
     n, width = flat.shape
     if m > 256:
@@ -47,7 +48,10 @@ def _codes(flat, m) -> np.ndarray:
     words = -(-width // per)
     if words * per > width:
         flat = np.pad(flat, ((0, 0), (0, words * per - width)))
-    code = flat.reshape(n * words, per) @ base ** np.arange(per - 1, -1, -1)
+    code = np.zeros(n * words, dtype=np.int64)
+    for digit in flat.reshape(n * words, per).T:
+        code *= base
+        code += digit
     if words == 1:
         return code
     return code.astype(">u8").view(np.dtype((np.void, 8 * words)))
@@ -127,11 +131,11 @@ def closure(gens, m, cap):
     """
     k, d, _ = gens.shape
     store, gen_dtype = np.dtype(entry_dtype(m)), np.min_scalar_type(-k)
-    gens = (gens % m).astype(product_dtype(d, m))  # stored elements promote to it
+    gens = (gens % m).astype(store)  # the frontier recompute gathers its rows
     cap = min(cap, ID_LIMIT)
     ident = np.eye(d, dtype=store)
     # inv_col[c]: the column of gens[c]^-1; inv_col[-1] = -1 for the root
-    pairs = np.all(np.matmul(gens[:, None], gens) % m == ident, axis=(2, 3))
+    pairs = np.all(matmul_mod(m, gens[:, None], gens) == ident, axis=(2, 3))
     if not pairs.any(axis=1).all():
         raise StructuralError("closure needs a generator set closed under inverses")
     inv_col = np.append(pairs.argmax(axis=1), -1)
@@ -151,7 +155,7 @@ def closure(gens, m, cap):
         ids[rows * k + back[rows]] = up[rows]
         probe = np.flatnonzero(ids < 0)
         level_codes = np.concatenate([
-            _codes((np.matmul(frontier[lo:lo + CHUNK, None], gens) % m).reshape(-1, d * d), m)
+            _codes(matmul_mod(m, frontier[lo:lo + CHUNK, None], gens).reshape(-1, d * d), m)
             for lo in range(0, len(frontier), CHUNK)])[probe]
         order = np.argsort(level_codes)
         needles, at = level_codes[order], probe[order]
@@ -173,7 +177,7 @@ def closure(gens, m, cap):
         ids[at] = found
         right.append(ids.reshape(-1, k))
         first = first[rank]
-        frontier = (np.matmul(frontier[first // k], gens[first % k]) % m).astype(store)
+        frontier = matmul_mod(m, frontier[first // k], gens[first % k]).astype(store)
         up, up_gens = (frontier_start + first // k).astype(np.int32), (first % k).astype(gen_dtype)
         elements.append(frontier)
         parents.append(up)
@@ -186,22 +190,17 @@ def closure(gens, m, cap):
             np.array(levels, dtype=np.int64))
 
 
-def action_table(elems, left, right, m, index) -> np.ndarray:
-    """ids of (left @ x @ right) mod m for every x in elems.
-
-    Raises IntegrityError naming the first x whose image is not indexed.
-    Built CHUNK elements at a time, which bounds the transient products
-    and lookup keys; the products are taken in product_dtype.
-    """
-    dt = product_dtype(index.dim, m)
-    left, right = ((np.asarray(a, dtype=np.int64) % m).astype(dt) for a in (left, right))
-    ids = np.concatenate([
-        lookup(np.matmul(np.matmul(left, elems[lo:lo + CHUNK]) % m, right) % m, index)
-        for lo in range(0, len(elems), CHUNK)])
-    bad = np.flatnonzero(ids < 0)
-    if len(bad):
-        raise IntegrityError(f"action image of element {bad[0]} is not in the group")
-    return ids
+def product_ids(index, *factors) -> np.ndarray:
+    """ids of the products over Z_m of the factors, by matmul_mod and lookup
+    CHUNK rows at a time; -1 where a product is not an element.  Each factor
+    is a (n, d, d) stack, all of one length n, or a single (d, d) matrix that
+    multiplies every row; entries lie in [0, m).  The right Cayley table is
+    never read, so the oracles built on this stay disjoint from the gathers."""
+    n = next(len(f) for f in factors if f.ndim == 3)
+    return np.concatenate([
+        lookup(matmul_mod(index.m, *(f[lo:lo + CHUNK] if f.ndim == 3 else f
+                                     for f in factors)), index)
+        for lo in range(0, n, CHUNK)])
 
 
 def orbits(moves, n):

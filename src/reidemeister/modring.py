@@ -40,14 +40,30 @@ def check_int64(dim: int, m: int):
             f"modulus {m} too large for exact int64 products in dimension {dim}")
 
 
+# (dtype, largest value), narrowest first; built once, as every matmul_mod call reads it
+PRODUCT_DTYPES = tuple((np.dtype(t), np.iinfo(t).max)
+                       for t in (np.uint8, np.uint16, np.int32, np.int64))
+
+
 def product_dtype(dim: int, m: int) -> np.dtype:
     """uint8, uint16, int32 or int64: the first to hold dim * (m - 1)^2, so
     that dim x dim products over Z_m are exact in it.  uint8 @ uint8 wraps
-    silently: every matmul over stored elements casts through this."""
+    silently: matmul_mod casts through this."""
     check_int64(dim, m)
     top = dim * (m - 1) ** 2
-    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.int32, np.int64)
-                if top <= np.iinfo(t).max)
+    return next(dt for dt, most in PRODUCT_DTYPES if top <= most)
+
+
+def matmul_mod(m: int, *factors) -> np.ndarray:
+    """The product of broadcastable (..., d, d) arrays with entries in [0, m),
+    reduced mod m after each factor: the one matmul over Z_m.  Each factor
+    is cast, without a copy where it already has it, to product_dtype(d, m),
+    in which every step is exact; the result has that dtype."""
+    dt = product_dtype(factors[0].shape[-1], m)
+    out = factors[0].astype(dt, copy=False)
+    for f in factors[1:]:
+        out = np.matmul(out, f.astype(dt, copy=False)) % m
+    return out
 
 
 @dataclass(frozen=True)
@@ -63,12 +79,6 @@ class Modulus:
             return pow(x % self.m, -1, self.m)
         except ValueError:
             raise StructuralError(f"{x} is not a unit mod {self.m}") from None
-
-    def units(self):
-        """All units of Z_m in ascending order."""
-        from math import gcd
-
-        return [w for w in range(1, self.m) if gcd(w, self.m) == 1]
 
 
 class ModMatrix:
@@ -110,7 +120,10 @@ class ModMatrix:
         return hash(canonical_key(self))
 
     def __matmul__(self, other):
-        return mat_mul(self, other)
+        if (self.dim, self.m) != (other.dim, other.m):
+            raise StructuralError(f"dimension or modulus mismatch: {self.dim} mod {self.m} "
+                                  f"vs {other.dim} mod {other.m}")
+        return ModMatrix(matmul_mod(self.m, self.entries, other.entries), self.modulus)
 
     def __repr__(self):
         rows = ", ".join("[" + " ".join(str(x) for x in r) + "]" for r in self.entries)
@@ -130,18 +143,6 @@ class TorusElement:
         diag[0] = self.w % mod.m
         diag[1] = mod.unit_inverse(self.w)
         return ModMatrix(np.diag(np.array(diag, dtype=np.int64)), mod)
-
-
-def _check_compatible(a: ModMatrix, b: ModMatrix):
-    if a.dim != b.dim:
-        raise StructuralError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.m != b.m:
-        raise StructuralError(f"modulus mismatch: {a.m} vs {b.m}")
-
-
-def mat_mul(a: ModMatrix, b: ModMatrix) -> ModMatrix:
-    _check_compatible(a, b)
-    return ModMatrix((a.entries @ b.entries) % a.m, a.modulus)
 
 
 def _int_det(mat) -> int:
@@ -211,16 +212,17 @@ def sign_pattern(d: int) -> np.ndarray:
     return np.fromfunction(lambda i, j: 1 - 2 * ((i + j) % 2), (d, d), dtype=np.int64)
 
 
-def is_symplectic(a: ModMatrix) -> bool:
-    """True iff a preserves the interleaved symplectic pairing over Z_m.
+def is_symplectic(a, m: int) -> np.ndarray:
+    """For each matrix of a (..., d, d) array with entries in [0, m), whether
+    it preserves the interleaved symplectic pairing over Z_m: one bool per
+    matrix.
 
     Equivalent to the pairwise column condition
     sum_i (a[2i-1,l]*a[2i,j] - a[2i-1,j]*a[2i,l]) = [l, j paired],
     i.e. a^T J a = J mod m.
     """
-    n = a.dim // 2
-    J = symplectic_form(n) % a.m
-    return np.array_equal((a.entries.T @ J % a.m) @ a.entries % a.m, J)
+    J = symplectic_form(a.shape[-1] // 2) % m
+    return np.all(matmul_mod(m, np.swapaxes(a, -1, -2), J, a) == J, axis=(-2, -1))
 
 
 def entry_dtype(m: int) -> str:
@@ -241,11 +243,3 @@ def canonical_key(a: ModMatrix) -> bytes:
     """
     return struct.pack("<II", a.dim, a.m) + a.entries.astype(entry_dtype(a.m)).tobytes()
 
-
-def from_canonical_key(key: bytes) -> ModMatrix:
-    """Decode a canonical_key back into the matrix it encodes."""
-    dim, m = struct.unpack_from("<II", key)
-    body = np.frombuffer(key, dtype=entry_dtype(m), offset=8)
-    if body.size != dim * dim:
-        raise StructuralError(f"key body has {body.size} entries, expected {dim * dim}")
-    return ModMatrix(body.astype(np.int64).reshape(dim, dim), m)

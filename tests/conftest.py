@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import signal
+import struct
 from math import gcd
 
 import numpy as np
@@ -172,6 +173,15 @@ def reference_closure(gens, m, cap):
     )
 
 
+def from_canonical_key(key: bytes) -> rm.ModMatrix:
+    """Decode a canonical_key back into the matrix it encodes."""
+    dim, m = struct.unpack_from("<II", key)
+    body = np.frombuffer(key, dtype=entry_dtype(m), offset=8)
+    if body.size != dim * dim:
+        raise rm.StructuralError(f"key body has {body.size} entries, expected {dim * dim}")
+    return rm.ModMatrix(body.astype(np.int64).reshape(dim, dim), m)
+
+
 def reference_ids(group, mats):
     """Bytes-dict reference for FiniteGroup.ids_of: every element's raw
     row-major int64 bytes mapped to its id, probed once per matrix."""
@@ -232,7 +242,7 @@ def reference_coset_move(semi, conjugator, k):
 def reference_refined_partition(g, phi, chi):
     """Refined partition of refined_split_check with every element a of
     H = ker(chi) as a move y -> a y phi(a)^-1."""
-    moves = [g.move_table(a, g.inverse_id(phi.apply_id(a)))
+    moves = [g.times(g.extend(g.generators, start=a), g.inverse_id(phi.apply_id(a)))
              for a in np.flatnonzero(chi.values == 1).tolist()]
     return kernels.orbits(moves, g.order)
 

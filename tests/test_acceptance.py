@@ -158,12 +158,12 @@ def test_criterion_8_torus_conjugation_closed_form():
         d = (1 + b * c) * pow(a, -1, p) % p
         w = rng.randrange(1, p)
         M = rm.ModMatrix([[a, b], [c, d]], p)
-        if not rm.is_symplectic(M):
+        if not rm.is_symplectic(M.entries, M.m):
             ok = False
             break
         wbar = rm.TorusElement(w, 1).realize(p)
         flipped_inv = rm.ModMatrix([[d, b], [c, a]], p)  # phi(M^-1)
-        prod = rm.mat_mul(rm.mat_mul(M, wbar), flipped_inv)
+        prod = M @ wbar @ flipped_inv
         wi = pow(w, -1, p)
         expected = rm.ModMatrix(
             [[w * a * d + wi * b * c, (w + wi) * a * b],

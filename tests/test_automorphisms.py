@@ -54,7 +54,7 @@ class TestInner:
         u = sp2_5.element(3)
         v = sp2_5.element(11)
         left = rm.compose(rm.inner(sp2_5, u), rm.inner(sp2_5, v))
-        right = rm.inner(sp2_5, rm.mat_mul(u, v))
+        right = rm.inner(sp2_5, u @ v)
         assert left == right
 
     def test_normalizer_check_exact_at_wide_modulus(self):
@@ -64,7 +64,7 @@ class TestInner:
         u = rm.ModMatrix([[m - 2, 1], [m - 3, 1]], m)
         assert rm.det(u) == 1
         neg = g.element(1)
-        assert rm.mat_mul(rm.mat_mul(u, neg), rm.mat_inverse(u)) == neg
+        assert u @ neg @ rm.mat_inverse(u) == neg
         assert rm.inner(g, u).is_identity
 
     def test_non_normalizing_conjugator(self, dihedral8):

@@ -182,14 +182,14 @@ class TestPartitions:
 
 class TestGatheredTables:
     """Every action table is a chain of gathers from the right Cayley table;
-    the batched matmul-and-lookup action_table is only the reference."""
+    FiniteGroup.action_table, matmul and lookup, is only the reference."""
 
     def test_no_matmul_tables_or_scalar_products(self, monkeypatch, sp2_7, dihedral8,
                                                  dihedral8_chi):
         def refuse(*args, **kwargs):
             raise AssertionError("matmul-and-lookup table or scalar product used")
 
-        monkeypatch.setattr(kernels, "action_table", refuse)
+        monkeypatch.setattr(rm.FiniteGroup, "action_table", refuse)
         monkeypatch.setattr(rm.FiniteGroup, "mul_ids", refuse)
         phi = rm.sign_flip(sp2_7)
         rm.twisted_classes(sp2_7, rm.compose(rm.inner(sp2_7, sp2_7.element(5)), phi))
@@ -217,7 +217,7 @@ class TestGatheredTables:
 
     def test_gathered_tables_past_the_storage_width(self, sp2_13):
         # 2 * 12^2 = 288 > 255: products of these uint8 elements are exact
-        # only in product_dtype, and a uint8 matmul would wrap
+        # only in matmul_mod's product dtype, and a uint8 matmul would wrap
         g, ident = sp2_13, np.eye(2, dtype=np.int64)
         assert g.elements.dtype == np.uint8
         for x in range(0, g.order, 97):
@@ -256,22 +256,19 @@ class TestGatheredTables:
 
 
 class TestRestrictTo:
+    """Class labels of chosen element ids, read from Partition.class_of."""
+
     def test_identity_label(self, sp2_5):
         part = rm.ordinary_classes(sp2_5)
-        assert rm.restrict_to(part, [sp2_5.identity]) == \
-            [(0, int(part.class_of[0]))]
-
-    def test_unknown_id(self, sp2_5):
-        part = rm.ordinary_classes(sp2_5)
-        with pytest.raises(StructuralError):
-            rm.restrict_to(part, [sp2_5.order + 3])
+        assert sp2_5.identity == 0
+        assert part.class_of[sp2_5.identity] == 0
 
     def test_torus_pairing_p13(self, sp2_13):
         p = 13
         part = rm.twisted_classes(sp2_13, rm.sign_flip(sp2_13))
         ids = {w: sp2_13.id_of(rm.TorusElement(w, 1).realize(p)) for w in range(1, p)}
         non_v1 = [w for w in range(1, p) if (w * w) % p != p - 1]
-        labels = dict(rm.restrict_to(part, [ids[w] for w in non_v1]))
+        labels = {ids[w]: int(part.class_of[ids[w]]) for w in non_v1}
         for w in non_v1:
             partner = (-pow(w, -1, p)) % p
             assert labels[ids[w]] == labels[ids[partner]]

@@ -184,6 +184,46 @@ def test_escaping_action_table_names_first_bad_id(sp2_5, dihedral8):
         dihedral8.action_table(u.entries, uinv.entries)
 
 
+def _ids_row_by_row(g, prods):
+    return [int(g.ids_of(x[None])[0]) for x in prods]
+
+
+class TestProductIds:
+    """kernels.product_ids against per-row ids_of of int64 products, on
+    Sp(2, Z_13), whose products 2 * 12^2 = 288 pass the uint8 storage."""
+
+    def test_single_matrix_against_a_stack(self, sp2_13):
+        g, index = sp2_13, kernels.build_index(sp2_13.elements, sp2_13.m)
+        elems = g.elements.astype(np.int64)
+        for single in (elems[7], 2 * np.eye(2, dtype=np.int64)):
+            got = kernels.product_ids(index, single, g.elements)
+            want = _ids_row_by_row(g, (single @ elems) % g.m)
+            assert got.tolist() == want
+            got = kernels.product_ids(index, g.elements, single)
+            assert got.tolist() == _ids_row_by_row(g, (elems @ single) % g.m)
+        assert set(want) == {-1}  # 2I has det 4, outside SL(2, Z_13)
+
+    def test_two_stacks_paired(self, sp2_13):
+        g, index = sp2_13, kernels.build_index(sp2_13.elements, sp2_13.m)
+        rng = np.random.default_rng(3)
+        a = g.elements[rng.integers(g.order, size=500)]
+        b = g.elements[rng.integers(g.order, size=500)].copy()
+        b[::7] = 2 * np.eye(2, dtype=b.dtype)  # non-elements: their products miss
+        got = kernels.product_ids(index, a, b)
+        want = _ids_row_by_row(g, (a.astype(np.int64) @ b.astype(np.int64)) % g.m)
+        assert got.tolist() == want
+        assert -1 in want and min(want[1:7]) >= 0
+
+    def test_stack_past_one_chunk(self, sp2_13):
+        g, index = sp2_13, kernels.build_index(sp2_13.elements, sp2_13.m)
+        rng = np.random.default_rng(4)
+        a, b = (g.elements[rng.integers(g.order, size=kernels.CHUNK + 1)] for _ in "ab")
+        got = kernels.product_ids(index, a, b)
+        assert len(got) == kernels.CHUNK + 1
+        assert got.tolist() == _ids_row_by_row(
+            g, (a.astype(np.int64) @ b.astype(np.int64)) % g.m)
+
+
 def test_lookup_marks_missing_rows(sp2_5):
     mats = np.stack([sp2_5.elements[17], 2 * np.eye(2, dtype=np.int64), sp2_5.elements[3]])
     assert sp2_5.ids_of(mats).tolist() == [17, -1, 3]
