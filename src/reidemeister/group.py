@@ -21,10 +21,11 @@ DEFAULT_CAP = 10**7
 
 
 def random_pairs(n: int, count: int) -> np.ndarray:
-    """(2, min(count, n * n)) array of random id pairs (i, j), always seed 0."""
-    rng = random.Random(0)
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(min(count, n * n))]
-    return np.array(pairs, dtype=np.int64).T.reshape(2, -1)
+    """(2, min(count, n * n)) array of random id pairs (i, j), always seed 0:
+    one draw of 8 bytes per id, each read little-endian and reduced mod n."""
+    count = min(count, n * n)
+    words = np.frombuffer(random.Random(0).randbytes(16 * count), dtype="<u8")
+    return (words % n).astype(np.int64).reshape(2, count)
 
 
 @dataclass

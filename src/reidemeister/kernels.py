@@ -11,8 +11,10 @@ into big-endian uint64 words, each row's words one np.void key that
 sorts, searches and compares the same way.
 
 Elements are stored at entry_dtype(m) (one byte per entry for m <= 256),
-ids and parents as int32, and every product is taken by modring.matmul_mod,
-in the narrowest dtype in which it is exact.
+ids and parents as int32, and every matmul is modring.matmul_mod, in the
+narrowest dtype in which it is exact.  Within the row-table bound (m**d <=
+ROW_CODES, m**(d*d) < 2**63) the closure multiplies by row tables built
+with it instead: the rows of x g are the rows of x times g.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from .modring import entry_dtype, matmul_mod
 
 CHUNK = 1 << 12  # frontier elements multiplied per batched matmul; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
+ROW_CODES = 1 << 16  # row codes a uint16 row table holds (closure's table bound)
 
 
 def _codes(flat, m) -> np.ndarray:
@@ -103,6 +106,21 @@ def lookup(mats, index) -> np.ndarray:
     return ids
 
 
+def _row_tables(gens, m):
+    """(table, digits) for right multiplication by the (k, d, d) gens one row
+    at a time, or (None, None) past the bound.  A row's code is its d entries
+    in base m, most significant first; digits[r] is the row with code r, at
+    entry_dtype(m), and table[c, r] the uint16 code of digits[r] @ gens[c]
+    mod m.  The bound: every row code below ROW_CODES, and every element's
+    code, its row codes in base m**d, below 2**63, one int64 word."""
+    k, d, _ = gens.shape
+    if m**d > ROW_CODES or m ** (d * d) >= 2**63:
+        return None, None
+    place = m ** np.arange(d - 1, -1, -1)
+    digits = (np.arange(m**d)[:, None] // place % m).astype(entry_dtype(m))
+    return (matmul_mod(m, digits, gens) @ place).astype(np.uint16), digits
+
+
 def closure(gens, m, cap):
     """Breadth-first closure of the identity under right-multiplication by gens.
 
@@ -115,19 +133,27 @@ def closure(gens, m, cap):
     the ids levels[L] <= x < levels[L + 1].  elements are entry_dtype(m),
     parents int32 and parent_gens the narrowest signed dtype holding k.
 
-    The frontier is expanded a level at a time, its products computed in
-    chunks.  The generators are closed under inverses, so a product x g of
-    a level-L element lies in level L - 1, L or L + 1: each level's codes
-    are sorted once and searched among the sorted codes of levels L - 1
-    and L only (frontier search; Korf, Zhang, Thayer and Hohwald, J. ACM
-    52, 2005).  The misses are the new elements, and equal codes among
-    them form runs.  A sequential BFS scans a level's products
-    frontier-major, generator-minor, and gives a new element the next id
-    and the parent of its first occurrence; ranking each run's least scan
-    position reproduces its ids, parents and parent_gens exactly.  A
-    product that leads back to its factor's BFS parent needs no search.
-    The ids are int32, so the closure stops at ID_LIMIT elements whatever
-    the cap.
+    The frontier is expanded a level at a time.  Right multiplication acts
+    on each row alone, (x g)_i = x_i g (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005), so within _row_tables' bound the
+    frontier is held as its elements' row codes x_i: the code of x g_c is
+    sum_i table[c, x_i] (m**d)**(d - 1 - i), d gathers, the next frontier's
+    rows are gathered from the table, and the elements are decoded once at
+    the end.  Past the bound the frontier is held as matrices, and each
+    level's products are taken by matmul_mod and coded by _codes, CHUNK
+    frontier elements at a time; the rest of the level loop is shared.
+
+    The generators are closed under inverses, so a product x g of a level-L
+    element lies in level L - 1, L or L + 1: each level's codes are sorted
+    once and searched among the sorted codes of levels L - 1 and L only
+    (frontier search; Korf, Zhang, Thayer and Hohwald, J. ACM 52, 2005).
+    The misses are the new elements, and equal codes among them form runs.
+    A sequential BFS scans a level's products frontier-major,
+    generator-minor, and gives a new element the next id and the parent of
+    its first occurrence; ranking each run's least scan position reproduces
+    its ids, parents and parent_gens exactly.  A product that leads back to
+    its factor's BFS parent needs no search.  The ids are int32, so the
+    closure stops at ID_LIMIT elements whatever the cap.
     """
     k, d, _ = gens.shape
     store, gen_dtype = np.dtype(entry_dtype(m)), np.min_scalar_type(-k)
@@ -139,12 +165,19 @@ def closure(gens, m, cap):
     if not pairs.any(axis=1).all():
         raise StructuralError("closure needs a generator set closed under inverses")
     inv_col = np.append(pairs.argmax(axis=1), -1)
+    table, digits = _row_tables(gens, m)
+    # the frontier, as its elements or as their row codes, and the identity's code
+    if table is None:
+        frontier, code = ident[None], _codes(ident.reshape(1, -1), m)
+    else:
+        frontier = (m ** np.arange(d - 1, -1, -1)).astype(np.uint16)[None]  # e_i: m**(d-1-i)
+        code = frontier.astype(np.int64) @ (m**d) ** np.arange(d - 1, -1, -1)
     root, root_gen = np.array([-1], dtype=np.int32), np.array([-1], dtype=gen_dtype)
-    elements, parents, parent_gens, right = [ident[None]], [root], [root_gen], []
+    elements, parents, parent_gens, right = [frontier], [root], [root_gen], []
     # the sorted codes of levels L - 1 and L, and their ids
-    cur = (_codes(ident.reshape(1, -1), m), np.zeros(1, dtype=np.int32))
+    cur = (code, np.zeros(1, dtype=np.int32))
     prev = (cur[0][:0], cur[1][:0])
-    frontier, frontier_start, count, levels = elements[0], 0, 1, [0]
+    frontier_start, count, levels = 0, 1, [0]
     up, up_gens = root, root_gen  # the frontier's parents and parent_gens
     while len(frontier):
         levels.append(count)
@@ -153,12 +186,21 @@ def closure(gens, m, cap):
         back = inv_col[up_gens]
         rows = np.flatnonzero(back >= 0)
         ids[rows * k + back[rows]] = up[rows]
-        probe = np.flatnonzero(ids < 0)
-        level_codes = np.concatenate([
-            _codes(matmul_mod(m, frontier[lo:lo + CHUNK, None], gens).reshape(-1, d * d), m)
-            for lo in range(0, len(frontier), CHUNK)])[probe]
-        order = np.argsort(level_codes)
-        needles, at = level_codes[order], probe[order]
+        # scan positions x k + c of the products x g_c left to search
+        at = np.flatnonzero(ids < 0).astype(np.int32 if len(ids) <= ID_LIMIT else np.int64)
+        if table is None:
+            needles = np.concatenate([
+                _codes(matmul_mod(m, frontier[lo:lo + CHUNK, None], gens).reshape(-1, d * d), m)
+                for lo in range(0, len(frontier), CHUNK)])[at]
+        else:
+            needles = np.zeros((len(frontier), k), dtype=np.int64)
+            for i in range(d):  # Horner's rule over the products' row codes
+                needles *= m**d
+                needles += table.T[frontier[:, i]]
+            needles = needles.reshape(-1)[at]
+        order = np.argsort(needles)
+        needles, at = needles[order], at[order]
+        del order
         found = _search(*prev, needles)
         miss = found < 0
         found[miss] = _search(*cur, needles[miss])
@@ -176,15 +218,21 @@ def closure(gens, m, cap):
         found[miss] = np.repeat(new_ids, np.diff(np.append(run, len(miss))))
         ids[at] = found
         right.append(ids.reshape(-1, k))
-        first = first[rank]
-        frontier = matmul_mod(m, frontier[first // k], gens[first % k]).astype(store)
-        up, up_gens = (frontier_start + first // k).astype(np.int32), (first % k).astype(gen_dtype)
+        prev, cur = cur, (fresh[run], new_ids)
+        del needles, at, found, miss, fresh, starts, run  # before the next level allocates
+        x, c = np.divmod(first[rank], k)
+        if table is None:
+            frontier = matmul_mod(m, frontier[x], gens[c]).astype(store)
+        else:
+            frontier = table[c[:, None], frontier[x]]
+        up, up_gens = (frontier_start + x).astype(np.int32), c.astype(gen_dtype)
         elements.append(frontier)
         parents.append(up)
         parent_gens.append(up_gens)
-        prev, cur = cur, (fresh[run], new_ids)
         frontier_start, count = count, count + len(first)
     elements = np.concatenate(elements)
+    if table is not None:
+        elements = digits[elements]
     return (elements, np.concatenate(parents), np.concatenate(parent_gens),
             build_index(elements, m), np.concatenate(right),
             np.array(levels, dtype=np.int64))
@@ -197,6 +245,8 @@ def product_ids(index, *factors) -> np.ndarray:
     multiplies every row; entries lie in [0, m).  The right Cayley table is
     never read, so the oracles built on this stay disjoint from the gathers."""
     n = next(len(f) for f in factors if f.ndim == 3)
+    if not n:
+        return np.empty(0, dtype=np.int32)
     return np.concatenate([
         lookup(matmul_mod(index.m, *(f[lo:lo + CHUNK] if f.ndim == 3 else f
                                      for f in factors)), index)

@@ -126,6 +126,32 @@ def test_closure_matches_reference_with_wide_keys(signed_perm4_17):
     assert np.array_equal(signed_perm4_17.ids_of(elems), np.arange(384))
 
 
+@pytest.mark.parametrize("d,m,tables", [
+    (2, 256, True),  # m^d = 2^16 row codes: the uint16 row tables
+    (2, 257, False),  # m^d > 2^16: matmul
+    (4, 15, True),  # 15^4 row codes, 15^16 < 2^63: one-word codes
+    (4, 16, False),  # 16^16 = 2^64 needs two-word codes: matmul
+])
+def test_closure_on_both_sides_of_the_row_table_bound(d, m, tables):
+    # a transvection I + E_01 and -I, of order 2m together
+    shear = np.eye(d, dtype=np.int64)
+    shear[0, 1] = 1
+    gens = _augmented([rm.ModMatrix(shear, m), rm.ModMatrix(-np.eye(d, dtype=np.int64), m)])
+    elems, parents, parent_gens, index, right, levels = kernels.closure(gens, m, 10**7)
+    ref = reference_closure(gens, m, 10**7)
+    for got, want in zip((elems, parents, parent_gens, right, levels), ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    want_index = kernels.build_index(ref[0], m)
+    assert index.keys.dtype == want_index.keys.dtype
+    assert np.array_equal(index.keys, want_index.keys)
+    assert index.ids.dtype == np.int32 and np.array_equal(index.ids, want_index.ids)
+    keys = [rm.canonical_key(rm.ModMatrix(x, m)) for x in ref[0]]
+    assert index.ids.tolist() == sorted(range(len(keys)), key=keys.__getitem__)
+    assert len(elems) == 2 * m
+    assert (kernels._row_tables(gens % m, m)[0] is not None) == tables
+
+
 def test_character_file_format_pinned_above_256(z1009, tmp_path):
     # a twist: file names each user generator by its hex canonical_key:
     # 4-byte dim and m, then the entries as 2-byte little-endian at m > 256
@@ -222,6 +248,15 @@ class TestProductIds:
         assert len(got) == kernels.CHUNK + 1
         assert got.tolist() == _ids_row_by_row(
             g, (a.astype(np.int64) @ b.astype(np.int64)) % g.m)
+
+
+def test_products_of_no_ids(sp2_5):
+    none = np.array([], dtype=np.int64)
+    got = sp2_5.products(none, none)
+    assert got.dtype == np.int32 and got.shape == (0,)
+    index = kernels.build_index(sp2_5.elements, sp2_5.m)
+    got = kernels.product_ids(index, sp2_5.elements[none], sp2_5.elements[7])
+    assert got.dtype == np.int32 and got.shape == (0,)
 
 
 def test_lookup_marks_missing_rows(sp2_5):
