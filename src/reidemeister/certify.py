@@ -166,9 +166,7 @@ def _class_map(src, dst, n_src):
     label c, -1 where no element has it; well_defined says every element
     agrees with its label's image.
     """
-    labels, first = np.unique(src, return_index=True)
-    image = np.full(n_src, -1, dtype=np.int64)
-    image[labels] = dst[first]
+    image = np.append(dst, -1)[kernels.first_index(src, n_src)]
     return image, bool(np.array_equal(image[src], dst))
 
 

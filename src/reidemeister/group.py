@@ -237,7 +237,7 @@ def twisted_classes(g: FiniteGroup, phi) -> Partition:
     class_of, n_classes = kernels.orbits(moves, g.order)
     sizes = np.bincount(class_of, minlength=n_classes).astype(np.int64)
     order = g.lex_order()
-    reps = order[np.unique(class_of[order], return_index=True)[1]]
+    reps = order[kernels.first_index(class_of[order], n_classes)]
     kind = "ordinary" if phi.descriptor.get("kind") == "identity" else "twisted"
     auto = None if kind == "ordinary" else phi.descriptor
     return Partition(class_of, reps, sizes, kind, auto)

@@ -4,11 +4,13 @@ orbits of permutation moves.
 
 The element index keys each matrix by its radix code: the row-major
 entries as the digits of one number, most significant first, so codes
-ascend as canonical_key does.  It keeps the sorted codes and their
-argsort, the int32 ids, and lookup() finds a stack of matrices by binary search
-with np.searchsorted.  Where a code reaches 2**63, the digits are packed
-into big-endian uint64 words, each row's words one np.void key that
-sorts, searches and compares the same way.
+ascend as canonical_key does.  It keeps the sorted codes and, in the same
+order, the int32 ids, and lookup() finds a stack of matrices by binary search
+with np.searchsorted.  Where a code reaches 2**63, the digits are packed into
+big-endian uint64 words, each row's words one np.void key that sorts,
+searches and compares the same way.  The index and each closure level are
+sorted by _sort_tagged, one value sort of code * n + position where that
+fits uint64.
 
 Elements are stored at entry_dtype(m) (one byte per entry for m <= 256),
 ids and parents as int32, and every matmul is modring.matmul_mod, in the
@@ -73,12 +75,41 @@ class Index:
     ids: np.ndarray
 
 
+def _sort_tagged(codes):
+    """(sorted, tags): the codes in ascending order, equal codes by position,
+    and tags[j] the position of sorted[j], as np.argsort(codes, kind="stable")
+    orders them.  Non-negative int64 codes are packed into uint64 as
+    code * n + position where (max + 1) * n <= 2**64 and sorted by value, in
+    place: codes is overwritten and returned sorted, and tags are int32 up to
+    ID_LIMIT codes.  np.void codes and larger ones take the stable argsort."""
+    n = len(codes)
+    if codes.dtype != np.int64 or not n or (int(codes.max()) + 1) * n > 2**64:
+        tags = np.argsort(codes, kind="stable")
+        return codes[tags], tags
+    small = n <= ID_LIMIT
+    packed = codes.view(np.uint64)
+    packed *= n
+    packed += np.arange(n, dtype=np.uint32 if small else np.uint64)
+    packed.sort()
+    tags = np.empty(n, dtype=np.int32 if small else np.int64)
+    np.remainder(packed, n, out=tags, casting="unsafe")
+    packed //= n
+    return codes, tags
+
+
+def first_index(labels, n) -> np.ndarray:
+    """For each label c in range(n), the least i with labels[i] == c, or
+    len(labels) where no label is c: one np.minimum.at pass."""
+    first = np.full(n, len(labels), dtype=np.intp)
+    np.minimum.at(first, labels, np.arange(len(labels)))
+    return first
+
+
 def build_index(elements, m) -> Index:
     """The Index of a (n, d, d) stack of distinct reduced matrices; id i is row i."""
     n, d, _ = elements.shape
-    keys = _codes(elements.reshape(n, d * d), m)
-    ids = np.argsort(keys).astype(np.int32)
-    keys = keys[ids]
+    keys, ids = _sort_tagged(_codes(elements.reshape(n, d * d), m))
+    ids = ids.astype(np.int32, copy=False)
     keys.flags.writeable = ids.flags.writeable = False
     return Index(m, d, keys, ids)
 
@@ -144,27 +175,27 @@ def closure(gens, m, cap):
     frontier elements at a time; the rest of the level loop is shared.
 
     The generators are closed under inverses, so a product x g of a level-L
-    element lies in level L - 1, L or L + 1: each level's codes are sorted
-    once and searched among the sorted codes of levels L - 1 and L only
-    (frontier search; Korf, Zhang, Thayer and Hohwald, J. ACM 52, 2005).
-    The misses are the new elements, and equal codes among them form runs.
-    A sequential BFS scans a level's products frontier-major,
-    generator-minor, and gives a new element the next id and the parent of
-    its first occurrence; ranking each run's least scan position reproduces
-    its ids, parents and parent_gens exactly.  A product that leads back to
-    its factor's BFS parent needs no search.  The ids are int32, so the
-    closure stops at ID_LIMIT elements whatever the cap.
+    element lies in level L - 1, L or L + 1: each level's product codes are
+    deduplicated against the codes of levels L - 1 and L only (frontier
+    search; Korf, Zhang, Thayer and Hohwald, J. ACM 52, 2005), by one sort.
+    The pool holds those levels' codes in id order, tagged 0, 1, ..., then
+    the products x g_c in sequential BFS scan order, frontier-major and
+    generator-minor, tagged on; _sort_tagged orders it by code, ties by tag.
+    The two levels are disjoint, so a run of equal codes holds at most one
+    old element, first, and the run's head is either that element or the
+    product of least scan position, which a sequential BFS would give the
+    next id and take as the new element's parent.  Every old element heads
+    its run, so marking the heads' tags and counting the marks (a cumsum)
+    numbers the old elements by id and the new ones in BFS order.  The ids
+    are int32, so the closure stops at ID_LIMIT elements whatever the cap.
     """
     k, d, _ = gens.shape
     store, gen_dtype = np.dtype(entry_dtype(m)), np.min_scalar_type(-k)
     gens = (gens % m).astype(store)  # the frontier recompute gathers its rows
     cap = min(cap, ID_LIMIT)
     ident = np.eye(d, dtype=store)
-    # inv_col[c]: the column of gens[c]^-1; inv_col[-1] = -1 for the root
-    pairs = np.all(matmul_mod(m, gens[:, None], gens) == ident, axis=(2, 3))
-    if not pairs.any(axis=1).all():
+    if not np.all(matmul_mod(m, gens[:, None], gens) == ident, axis=(2, 3)).any(axis=1).all():
         raise StructuralError("closure needs a generator set closed under inverses")
-    inv_col = np.append(pairs.argmax(axis=1), -1)
     table, digits = _row_tables(gens, m)
     # the frontier, as its elements or as their row codes, and the identity's code
     if table is None:
@@ -174,53 +205,45 @@ def closure(gens, m, cap):
         code = frontier.astype(np.int64) @ (m**d) ** np.arange(d - 1, -1, -1)
     root, root_gen = np.array([-1], dtype=np.int32), np.array([-1], dtype=gen_dtype)
     elements, parents, parent_gens, right = [frontier], [root], [root_gen], []
-    # the sorted codes of levels L - 1 and L, and their ids
-    cur = (code, np.zeros(1, dtype=np.int32))
-    prev = (cur[0][:0], cur[1][:0])
+    prev, cur = code[:0], code  # the codes of levels L - 1 and L, in id order
     frontier_start, count, levels = 0, 1, [0]
-    up, up_gens = root, root_gen  # the frontier's parents and parent_gens
     while len(frontier):
         levels.append(count)
-        ids = np.full(len(frontier) * k, -1, dtype=np.int32)
-        # x g_c^-1 is x's parent when x = parent g_c: no search needed
-        back = inv_col[up_gens]
-        rows = np.flatnonzero(back >= 0)
-        ids[rows * k + back[rows]] = up[rows]
-        # scan positions x k + c of the products x g_c left to search
-        at = np.flatnonzero(ids < 0).astype(np.int32 if len(ids) <= ID_LIMIT else np.int64)
+        n_old = len(prev) + len(cur)  # levels L - 1 and L: ids count - n_old <= x < count
+        pool = np.empty(n_old + len(frontier) * k, dtype=cur.dtype)
+        pool[:len(prev)], pool[len(prev):n_old] = prev, cur
         if table is None:
-            needles = np.concatenate([
+            np.concatenate([
                 _codes(matmul_mod(m, frontier[lo:lo + CHUNK, None], gens).reshape(-1, d * d), m)
-                for lo in range(0, len(frontier), CHUNK)])[at]
+                for lo in range(0, len(frontier), CHUNK)], out=pool[n_old:])
         else:
-            needles = np.zeros((len(frontier), k), dtype=np.int64)
+            products = pool[n_old:].reshape(len(frontier), k)
+            products[...] = 0
             for i in range(d):  # Horner's rule over the products' row codes
-                needles *= m**d
-                needles += table.T[frontier[:, i]]
-            needles = needles.reshape(-1)[at]
-        order = np.argsort(needles)
-        needles, at = needles[order], at[order]
-        del order
-        found = _search(*prev, needles)
-        miss = found < 0
-        found[miss] = _search(*cur, needles[miss])
-        miss = np.flatnonzero(found < 0)
-        fresh = needles[miss]
-        starts = np.ones(len(fresh), dtype=bool)
-        starts[1:] = fresh[1:] != fresh[:-1]
-        run = np.flatnonzero(starts)
-        first = np.minimum.reduceat(at[miss], run)
-        if count + len(first) > cap:
+                products *= m**d
+                products += table.T[frontier[:, i]]
+            del products
+        codes, tags = _sort_tagged(pool)
+        del pool
+        start = np.flatnonzero(np.append(True, codes[1:] != codes[:-1]))  # runs of equal codes
+        lead = tags[start]  # each run's old element or least scan position
+        if count + len(start) - n_old > cap:
             raise CapacityError(cap, max(count, cap))
-        rank = np.argsort(first)  # the new elements in sequential BFS order
-        new_ids = np.empty(len(first), dtype=np.int32)
-        new_ids[rank] = np.arange(count, count + len(first))
-        found[miss] = np.repeat(new_ids, np.diff(np.append(run, len(miss))))
-        ids[at] = found
-        right.append(ids.reshape(-1, k))
-        prev, cur = cur, (fresh[run], new_ids)
-        del needles, at, found, miss, fresh, starts, run  # before the next level allocates
-        x, c = np.divmod(first[rank], k)
+        fresh = lead >= n_old
+        fresh_codes = codes[start[fresh]]
+        del codes
+        marks = np.zeros(len(tags), dtype=bool)
+        marks[lead] = True
+        run_ids = np.cumsum(marks, dtype=np.int32)[lead] + (count - n_old - 1)
+        prev, cur = cur, np.empty(len(fresh_codes), dtype=fresh_codes.dtype)
+        cur[run_ids[fresh] - count] = fresh_codes  # the new elements' codes, in id order
+        del fresh, fresh_codes
+        x, c = np.divmod(np.flatnonzero(marks[n_old:]), k)  # new elements, in BFS order
+        del marks
+        ids = np.empty(len(tags), dtype=np.int32)
+        ids[tags] = np.repeat(run_ids, np.diff(start, append=len(tags)))
+        right.append(ids[n_old:].reshape(-1, k).copy())
+        del tags, start, lead, run_ids, ids  # before the next level allocates
         if table is None:
             frontier = matmul_mod(m, frontier[x], gens[c]).astype(store)
         else:
@@ -229,13 +252,13 @@ def closure(gens, m, cap):
         elements.append(frontier)
         parents.append(up)
         parent_gens.append(up_gens)
-        frontier_start, count = count, count + len(first)
+        frontier_start, count = count, count + len(x)
+    right = np.concatenate(right)  # before build_index allocates
     elements = np.concatenate(elements)
     if table is not None:
         elements = digits[elements]
     return (elements, np.concatenate(parents), np.concatenate(parent_gens),
-            build_index(elements, m), np.concatenate(right),
-            np.array(levels, dtype=np.int64))
+            build_index(elements, m), right, np.array(levels, dtype=np.int64))
 
 
 def product_ids(index, *factors) -> np.ndarray:

@@ -208,8 +208,8 @@ def symplectic_form(n: int) -> np.ndarray:
 
 
 def sign_pattern(d: int) -> np.ndarray:
-    """The signs (-1)^(i+j); entrywise, conjugation by diag(1, -1, 1, -1, ...)."""
-    return np.fromfunction(lambda i, j: 1 - 2 * ((i + j) % 2), (d, d), dtype=np.int64)
+    """The int8 signs (-1)^(i+j); entrywise, conjugation by diag(1, -1, 1, -1, ...)."""
+    return np.fromfunction(lambda i, j: 1 - 2 * ((i + j) % 2), (d, d), dtype=np.int8)
 
 
 def is_symplectic(a, m: int) -> np.ndarray:

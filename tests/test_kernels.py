@@ -1,7 +1,8 @@
 """The closure kernel against the sequential BFS reference in conftest: same
 elements, parents, parent_gens, right Cayley table and levels bit for bit,
 plus the kernel's errors; the orbit routine against the union-find in
-conftest, label for label."""
+conftest, label for label; the sort and first-index helpers against numpy's
+stable argsort and np.unique."""
 
 import random
 
@@ -281,6 +282,44 @@ def test_lookup_rejects_unreduced_entries(sp2_5):
     step = 5 * np.eye(4, dtype=np.int64).reshape(4, 2, 2)
     moved = np.concatenate([sp2_5.elements[:, None] + step, sp2_5.elements[:, None] - step])
     assert np.all(sp2_5.ids_of(moved.reshape(-1, 2, 2)) == -1)
+
+
+def _assert_sorts_as_stable_argsort(codes):
+    want = np.argsort(codes, kind="stable")
+    got, tags = kernels._sort_tagged(codes.copy())
+    assert got.dtype == codes.dtype and np.array_equal(got, codes[want])
+    assert np.array_equal(tags, want)
+    return tags
+
+
+@pytest.mark.parametrize("top,packed", [
+    (2**62 - 1, True),  # (max + 1) * 4 = 2**64: code * 4 + position fits uint64
+    (2**62, False),  # one above: packing would wrap, so the stable argsort
+], ids=["at-the-bound", "one-above"])
+def test_sort_tagged_on_both_sides_of_the_packing_bound(top, packed):
+    tags = _assert_sorts_as_stable_argsort(np.array([top, 0, top, 1], dtype=np.int64))
+    assert (tags.dtype == np.int32) == packed
+
+
+def test_sort_tagged_breaks_ties_by_position():
+    codes = np.random.default_rng(0).integers(0, 10, 1000)
+    assert _assert_sorts_as_stable_argsort(codes).dtype == np.int32
+    assert len(_assert_sorts_as_stable_argsort(codes[:0])) == 0
+
+
+def test_sort_tagged_on_void_keys():
+    # two-word codes, as _codes gives past 2**63, with repeats
+    words = np.random.default_rng(1).integers(0, 3, (200, 2)).astype(">u8")
+    _assert_sorts_as_stable_argsort(words.view(np.dtype((np.void, 16))).ravel())
+
+
+def test_first_index_matches_unique():
+    labels = np.random.default_rng(2).integers(0, 40, 500)
+    first = kernels.first_index(labels, 50)
+    present, want = np.unique(labels, return_index=True)
+    assert np.array_equal(first[present], want)
+    absent = np.setdiff1d(np.arange(50), present)  # 40..49 at least
+    assert len(absent) >= 10 and np.all(first[absent] == len(labels))
 
 
 @pytest.fixture(scope="module", params=["sp2_5", "sp4_2", "signed_perm4_17"])
