@@ -3,7 +3,7 @@ for finite symplectic matrix groups over Z_m."""
 
 from .automorphisms import (Automorphism, Character, character_twist, compose,
                             identity_automorphism, inner, sign_flip)
-from .certify import (Certificate, SemidirectGroup, burnside_oracle, growth_scan,
+from .certify import (Certificate, burnside_oracle, coset_moves, growth_scan,
                       prop32_certificate, quotient_epi_check,
                       refined_split_check, semidirect_oracle,
                       shift_bijection_check, thm33_block_certificate)
@@ -11,8 +11,7 @@ from .errors import (CapacityError, IntegrityError, PreconditionError,
                      SingularMatrixError, StructuralError, UnsupportedTwistError)
 from .generators import sp_order, standard_generators, transvection
 from .group import FiniteGroup, Partition, generate_group, ordinary_classes, twisted_classes
-from .modring import (ModMatrix, Modulus, TorusElement, canonical_key, det, is_symplectic,
-                      mat_inverse)
+from .modring import ModMatrix, Modulus, canonical_key, det, is_symplectic, mat_inverse
 
 __version__ = "0.1.0"
 KERNEL_BACKEND = "numpy"  # the one kernel path; recorded with benchmark runs
@@ -20,10 +19,9 @@ KERNEL_BACKEND = "numpy"  # the one kernel path; recorded with benchmark runs
 __all__ = [
     "Automorphism", "CapacityError", "Certificate", "Character", "FiniteGroup",
     "IntegrityError", "KERNEL_BACKEND", "ModMatrix", "Modulus", "Partition",
-    "PreconditionError", "SemidirectGroup", "SingularMatrixError",
-    "StructuralError", "TorusElement", "UnsupportedTwistError",
-    "burnside_oracle", "canonical_key", "character_twist",
-    "compose", "det", "generate_group", "growth_scan",
+    "PreconditionError", "SingularMatrixError", "StructuralError",
+    "UnsupportedTwistError", "burnside_oracle", "canonical_key", "character_twist",
+    "compose", "coset_moves", "det", "generate_group", "growth_scan",
     "identity_automorphism", "inner", "is_symplectic", "mat_inverse",
     "ordinary_classes", "prop32_certificate", "quotient_epi_check",
     "refined_split_check", "semidirect_oracle",

@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .errors import (IntegrityError, PreconditionError, StructuralError,
                      UnsupportedTwistError)
-from .group import FiniteGroup, random_pairs
+from .group import FiniteGroup, check_same_group, random_pairs
 from .modring import ModMatrix, canonical_key, mat_inverse, matmul_mod, sign_pattern
 
 RANDOM_PAIR_SAMPLES = 1000
@@ -191,8 +191,7 @@ class Character:
 def character_twist(chi: Character, base: Automorphism) -> Automorphism:
     """g -> chi(g) * base(g).  Needs -I in the group so images stay inside."""
     g = base.group
-    if chi.group is not g:
-        raise StructuralError("character and automorphism live on different groups")
+    check_same_group(g, chi)
     if chi.is_trivial:
         return base
     neg_ident = ModMatrix((-np.eye(g.dim, dtype=np.int64)) % g.m, g.modulus)
@@ -208,8 +207,7 @@ def character_twist(chi: Character, base: Automorphism) -> Automorphism:
 
 def compose(outer: Automorphism, inner_map: Automorphism) -> Automorphism:
     """outer after inner_map, as permutations of the element table."""
-    if outer.group is not inner_map.group:
-        raise StructuralError("cannot compose automorphisms of different groups")
+    check_same_group(outer.group, inner_map)
     perm = outer.perm[inner_map.perm]
     desc = {"kind": "compose", "outer": outer.descriptor, "inner": inner_map.descriptor}
     return Automorphism(outer.group, perm, desc, _validated=True)

@@ -3,7 +3,9 @@
 Each operation recomputes a claimed relation by a code path disjoint from
 the one under test (e.g. ordinary conjugacy inside a semidirect product
 versus twisted-class orbits) and packages the exact results, with a verdict,
-into a Certificate.  All quantities are exact integers; nothing here is
+into a Certificate.  coset_moves builds the conjugation tables of both the
+semidirect and the Burnside oracle; torus elements diag(w, w^-1, 1, ..., 1)
+are plain int64 arrays.  All quantities are exact integers; nothing here is
 approximate.
 """
 
@@ -18,8 +20,9 @@ from . import kernels
 from .automorphisms import (Automorphism, Character, character_twist, compose,
                             identity_automorphism, inner, sign_flip)
 from .errors import CapacityError, PreconditionError, StructuralError
-from .group import DEFAULT_CAP, FiniteGroup, sp_group, twisted_classes, twisted_moves
-from .modring import TorusElement, _is_prime, check_int64, matmul_mod, sign_pattern
+from .group import (DEFAULT_CAP, FiniteGroup, check_same_group, sp_group, twisted_classes,
+                    twisted_moves)
+from .modring import _is_prime, check_int64, matmul_mod, sign_pattern
 
 PASS = "pass"
 FAIL = "fail"
@@ -50,87 +53,62 @@ class Certificate:
         return json.dumps(self.to_dict(), indent=2)
 
 
-class SemidirectGroup:
-    """G x|_phi Z_m as pairs (element id, k), with the twisted product
-    (g, k)(h, l) = (g phi^k(h), k + l).
+def coset_moves(g: FiniteGroup, phi: Automorphism, k: int) -> list[np.ndarray]:
+    """Conjugation moves on the coset {(x, k)} of G x|_phi Z_m, m the order
+    of phi, as id tables over x.
 
-    Never re-interned as matrices; only the conjugacy structure is needed.
-    Products are matmuls looked up in the element index: the scalar mult
-    and the move tables (FiniteGroup.products and action_table) both go
-    through kernels.product_ids, never the Cayley-table gathers that
-    twisted_classes is built on.
+    Conjugation by (s, 0) is x -> s x phi^k(s^-1), one per user generator
+    s, by FiniteGroup.action_table (kernels.product_ids, never the
+    Cayley-table gathers that twisted_classes is built on); conjugation by
+    (1, 1) is x -> phi(x), phi's own permutation, when m > 1.
+    kernels.orbits needs no inverse moves.  Each table is checked at the
+    coset point (identity, k) against the scalar product
+    (g, j)(h, l) = (g phi^j(h), j + l).
     """
+    m = phi.order()
 
-    def __init__(self, base: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP):
-        self.base = base
-        self.phi = phi
-        self.m = phi.order()
-        if base.order * self.m > cap:
-            raise CapacityError(cap, base.order * self.m)
-
-    @property
-    def order(self) -> int:
-        return self.base.order * self.m
-
-    def _phi_power(self, i: int, k: int) -> int:
-        """id of phi^k(i), phi applied k mod m times."""
-        for _ in range(k % self.m):
-            i = int(self.phi.perm[i])
+    def power(i, j):  # the id of phi^j(i)
+        for _ in range(j % m):
+            i = int(phi.perm[i])
         return i
 
-    def mult(self, a, b):
-        g, k = a
-        h, l = b
-        return int(self.base.products([g], [self._phi_power(h, k)])[0]), (k + l) % self.m
+    def mult(a, b):
+        return int(g.products([a[0]], [power(b[0], a[1])])[0]), (a[1] + b[1]) % m
 
-    def inv(self, a):
-        g, k = a
-        return self._phi_power(self.base.inverse_id(g), -k), (-k) % self.m
+    def inv(a):
+        return power(g.inverse_id(a[0]), -a[1]), -a[1] % m
 
-    def coset_moves(self, k=1):
-        """Conjugation moves on the coset {(x, k)}, as id tables over x.
-
-        Conjugation by (s, 0) is x -> s x phi^k(s^-1), one per user
-        generator s; conjugation by (1, 1) is x -> phi(x), phi's own
-        permutation.  kernels.orbits needs no inverse moves.  Each
-        conjugator's table is checked at the coset point (identity, k)
-        against the scalar product mult/inv.
-        """
-        g = self.base
-        conjugators = [(s, 0) for s in g.user_generators().values()]
-        moves = [g.action_table(g.elements[s],
-                                g.elements[self._phi_power(g.inverse_id(s), k)])
-                 for s, _ in conjugators]
-        if self.m > 1:
-            conjugators.append((g.identity, 1))
-            moves.append(self.phi.perm)
-        for c, table in zip(conjugators, moves):
-            y, kk = self.mult(self.mult(c, (g.identity, k)), self.inv(c))
-            if kk != k % self.m or y != table[g.identity]:
-                raise StructuralError(
-                    "conjugation in the semidirect product breaks its product rule")
-        return moves
-
-    def coset_conjugacy_classes(self, k=1):
-        """Ordinary-conjugacy class labels of the coset {(g, k)}: the orbits,
-        by kernels.orbits, of coset_moves(k)."""
-        return kernels.orbits(self.coset_moves(k), self.base.order)
+    conjugators = [(s, 0) for s in g.user_generators().values()]
+    moves = [g.action_table(g.elements[s], g.elements[power(g.inverse_id(s), k)])
+             for s, _ in conjugators]
+    if m > 1:
+        conjugators.append((g.identity, 1))
+        moves.append(phi.perm)
+    for c, table in zip(conjugators, moves):
+        y, j = mult(mult(c, (g.identity, k)), inv(c))
+        if j != k % m or y != table[g.identity]:
+            raise StructuralError(
+                "conjugation in the semidirect product breaks its product rule")
+    return moves
 
 
 def semidirect_oracle(g: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP) -> Certificate:
     """Twisted class count of phi versus ordinary conjugacy in the coset G.t
-    of G x|_phi Z_m; the two are computed by disjoint code paths."""
-    semi = SemidirectGroup(g, phi, cap=cap)
-    _, coset_classes = semi.coset_conjugacy_classes(k=1 if semi.m > 1 else 0)
+    of G x|_phi Z_m, t = (1, 1); the two are computed by disjoint code paths."""
+    check_same_group(g, phi)
+    m = phi.order()
+    if g.order * m > cap:
+        raise CapacityError(cap, g.order * m)
+    _, coset_classes = kernels.orbits(coset_moves(g, phi, 1), g.order)
     twisted = twisted_classes(g, phi).n_classes
     return Certificate(
         claim_id="lemma6.2-semidirect",
         paper_anchor="Lemma 6.2",
         inputs={"modulus": g.m, "n": g.dim // 2, "group_order": g.order,
-                "automorphism": phi.descriptor, "automorphism_order": semi.m},
+                "automorphism": phi.descriptor, "automorphism_order": m},
         computed={"twisted_class_count": twisted,
                   "coset_conjugacy_class_count": coset_classes,
-                  "semidirect_order": semi.order},
+                  "semidirect_order": g.order * m},
         verdict=PASS if twisted == coset_classes else FAIL,
     )
 
@@ -140,9 +118,10 @@ def burnside_oracle(g: FiniteGroup, phi: Automorphism) -> Certificate:
     classes C with phi(C) = C (twisted Burnside-Frobenius theorem for
     finite groups; Fel'shtyn-Hill, K-Theory 8, 1994).  The ordinary classes
     come from batched conjugation tables, not from twisted_classes."""
-    # the ordinary classes of G are the coset classes of G x| Z_1 at k = 0
-    class_of, n_classes = SemidirectGroup(
-        g, identity_automorphism(g), cap=g.order).coset_conjugacy_classes(k=0)
+    check_same_group(g, phi)
+    # the ordinary classes of G are the classes of the coset {(x, 0)} of G x| Z_1
+    class_of, n_classes = kernels.orbits(
+        coset_moves(g, identity_automorphism(g), 0), g.order)
     image, well_defined = _class_map(class_of, class_of[phi.perm], n_classes)
     fixed = int(np.count_nonzero(image == np.arange(n_classes)))
     twisted = twisted_classes(g, phi).n_classes
@@ -174,6 +153,8 @@ def shift_bijection_check(g: FiniteGroup, phi: Automorphism, theta: int) -> Cert
     """Right multiplication by theta^-1 must send classes of phi bijectively
     onto classes of (inner(theta) . phi); verified class-by-class."""
     theta = int(theta)
+    if not 0 <= theta < g.order:
+        raise PreconditionError(f"theta = {theta} is not an element id in [0, {g.order})")
     theta_mat = g.element(theta)
     shifted = compose(inner(g, theta_mat), phi)
     p1 = twisted_classes(g, phi)
@@ -218,6 +199,7 @@ def _refined_partition(g: FiniteGroup, phi: Automorphism, chi: Character):
 def refined_split_check(g: FiniteGroup, phi: Automorphism, chi: Character) -> Certificate:
     """H = ker(chi) refinement: each phi-class splits into at most two
     H-refined subsets, and each (chi.phi)-class is a union of them."""
+    check_same_group(g, phi, chi)
     if chi.is_trivial:
         raise PreconditionError("refined split check needs a nontrivial character")
     refined, n_refined = _refined_partition(g, phi, chi)
@@ -246,10 +228,10 @@ def refined_split_check(g: FiniteGroup, phi: Automorphism, chi: Character) -> Ce
     )
 
 
-def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism,
-                       phi_q: Automorphism | None = None) -> Certificate:
+def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism) -> Certificate:
     """Entrywise residue reduction Z_m -> Z_m' must map Reidemeister classes
     of phi onto those of the induced map, and so R(phi) >= R(induced)."""
+    check_same_group(g, phi)
     if g.m % q.m != 0:
         raise StructuralError(f"target modulus {q.m} does not divide {g.m}")
     if g.dim != q.dim:
@@ -266,10 +248,7 @@ def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism,
     if not commutes:
         raise StructuralError(
             "automorphism does not commute with the reduction; no induced map")
-    phi_bar = phi_q if phi_q is not None else Automorphism(
-        q, induced, {"kind": "induced", "base": phi.descriptor})
-    if phi_q is not None and not np.array_equal(phi_q.perm, induced):
-        raise StructuralError("supplied quotient automorphism is not the induced one")
+    phi_bar = Automorphism(q, induced, {"kind": "induced", "base": phi.descriptor})
     p_g = twisted_classes(g, phi)
     p_q = twisted_classes(q, phi_bar)
     class_image, well_defined = _class_map(p_g.class_of, p_q.class_of[proj], p_g.n_classes)
@@ -289,6 +268,13 @@ def quotient_epi_check(g: FiniteGroup, q: FiniteGroup, phi: Automorphism,
     )
 
 
+def _torus(w: int, n: int, p: int) -> np.ndarray:
+    """diag(w, w^-1, 1, ..., 1) of dimension 2n over Z_p, int64; w a unit."""
+    t = np.eye(2 * n, dtype=np.int64)
+    t[0, 0], t[1, 1] = w % p, pow(w, -1, p)
+    return t
+
+
 def prop32_certificate(p: int, cap=DEFAULT_CAP) -> Certificate:
     """Sp(2, Z_p) with the sign-flip: R >= (p-3)/2, |V1| as predicted, and
     the torus pairing w-bar ~ -w-bar^-1 for every unit w outside V1."""
@@ -299,38 +285,31 @@ def prop32_certificate(p: int, cap=DEFAULT_CAP) -> Certificate:
     phi = sign_flip(g)
     part = twisted_classes(g, phi)
     bound = (p - 3) // 2
-    v1 = [w for w in range(1, p) if (w * w) % p == p - 1]
     v1_expected = 2 if (p - 1) % 4 == 0 else 0
-    # torus class structure
-    torus_ids = {w: g.id_of(TorusElement(w, 1).realize(p)) for w in range(1, p)}
-    pairing_ok = True
-    exact_pairs = True
-    torus_by_class = {}
-    for w, tid in torus_ids.items():
-        torus_by_class.setdefault(int(part.class_of[tid]), []).append(w)
-    for w in range(1, p):
-        if w in v1:
-            continue
-        partner = (-pow(w, -1, p)) % p
-        cw = int(part.class_of[torus_ids[w]])
-        if cw != int(part.class_of[torus_ids[partner]]):
-            pairing_ok = False
-        members = set(torus_by_class[cw])
-        if members != {w, partner}:
-            exact_pairs = False
+    # torus class structure: entry w - 1 of each array is about w-bar
+    torus = np.stack([_torus(w, 1, p) for w in range(1, p)])
+    ids = g.ids_of(torus)
+    if (ids < 0).any():
+        raise StructuralError("matrix is not an element of this group")
+    labels = part.class_of[ids]
+    v1 = (torus[:, 0, 0] ** 2) % p == p - 1
+    partner = labels[p - 1 - torus[:, 1, 1]]  # the class of -w-bar^-1
+    paired = v1 | (labels == partner)
+    pairing_ok = bool(paired.all())
+    exact_pairs = bool((v1 | (paired & (np.bincount(labels)[labels] == 2))).all())
+    v1_size = int(np.count_nonzero(v1))
     r = part.n_classes
-    ok = r >= bound and pairing_ok and len(v1) == v1_expected
+    ok = r >= bound and pairing_ok and v1_size == v1_expected
     return Certificate(
         claim_id="prop3.2-lower-bound",
         paper_anchor="Proposition 3.2",
         inputs={"n": 1, "modulus": p, "automorphism": phi.descriptor},
         computed={"group_order": g.order, "expected_order": p * (p * p - 1),
                   "class_count": r, "bound": bound,
-                  "v1_size": len(v1), "v1_expected": v1_expected,
+                  "v1_size": v1_size, "v1_expected": v1_expected,
                   "torus_pairing_ok": pairing_ok,
                   "torus_classes_exactly_pairs": exact_pairs,
-                  "v1_class_labels": sorted(
-                      int(part.class_of[torus_ids[w]]) for w in v1)},
+                  "v1_class_labels": sorted(labels[v1].tolist())},
         verdict=PASS if ok else FAIL,
     )
 
@@ -412,11 +391,11 @@ def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
         raise PreconditionError(f"w = {w} is not a unit mod {p}")
     g = sp_group(n, p, cap)  # checks the cap before the loop over the units
     elems = g.elements
-    lhs = matmul_mod(p, elems, TorusElement(w, n).realize(p).entries)
+    lhs = matmul_mod(p, elems, _torus(w, n, p))
     flipped = ((elems * sign_pattern(2 * n)) % p).astype(elems.dtype)
     hits = np.zeros(g.order, dtype=bool)
     for u in range(1, p):  # p is prime: every u is a unit
-        rhs = matmul_mod(p, TorusElement(u, n).realize(p).entries, flipped)
+        rhs = matmul_mod(p, _torus(u, n, p), flipped)
         hits |= np.all(lhs == rhs, axis=(1, 2))
     hit_ids = np.nonzero(hits)[0]
     off_low = elems[hit_ids][:, 2:, :2]

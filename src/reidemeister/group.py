@@ -219,9 +219,16 @@ def sp_group(n: int, m: int, cap: int) -> FiniteGroup:
     return generate_group(gens, cap=cap)
 
 
+def check_same_group(g: FiniteGroup, *maps):
+    """Raises StructuralError unless every automorphism or character in maps is g's."""
+    if any(f.group is not g for f in maps):
+        raise StructuralError("automorphism or character lives on a different group")
+
+
 def twisted_moves(g: FiniteGroup, phi, conjugators) -> list[np.ndarray]:
     """One move x -> a x phi(a)^-1 per conjugator id a, by gathers; through
     kernels.orbits, conjugators generating H give the orbits of all of H."""
+    check_same_group(g, phi)
     return [g.times(g.extend(g.generators, start=a), g.inverse_id(phi.apply_id(a)))
             for a in conjugators]
 

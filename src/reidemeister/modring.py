@@ -74,12 +74,6 @@ class Modulus:
         if self.m < 2:
             raise StructuralError(f"modulus must be >= 2, got {self.m}")
 
-    def unit_inverse(self, x: int) -> int:
-        try:
-            return pow(x % self.m, -1, self.m)
-        except ValueError:
-            raise StructuralError(f"{x} is not a unit mod {self.m}") from None
-
 
 class ModMatrix:
     """Square matrix over Z_m of even dimension >= 2, immutable after construction."""
@@ -128,21 +122,6 @@ class ModMatrix:
     def __repr__(self):
         rows = ", ".join("[" + " ".join(str(x) for x in r) + "]" for r in self.entries)
         return f"ModMatrix({rows} mod {self.m})"
-
-
-@dataclass(frozen=True)
-class TorusElement:
-    """The diagonal symplectic matrix diag(w, w^-1, 1, ..., 1) of dimension 2n."""
-
-    w: int
-    n: int
-
-    def realize(self, modulus) -> ModMatrix:
-        mod = modulus if isinstance(modulus, Modulus) else Modulus(int(modulus))
-        diag = [1] * (2 * self.n)
-        diag[0] = self.w % mod.m
-        diag[1] = mod.unit_inverse(self.w)
-        return ModMatrix(np.diag(np.array(diag, dtype=np.int64)), mod)
 
 
 def _int_det(mat) -> int:

@@ -216,27 +216,42 @@ def reference_character_values(group, gen_values):
     return vals
 
 
-def reference_coset_move(semi, conjugator, k):
-    """Scalar reference for SemidirectGroup.coset_moves: the id table of
+def semidirect_power(phi, i, j):
+    """The id of phi^j(i), phi applied j mod ord(phi) times."""
+    for _ in range(j % phi.order()):
+        i = int(phi.perm[i])
+    return i
+
+
+def semidirect_mult(g, phi, a, b):
+    """Scalar product (g, j)(h, l) = (g phi^j(h), j + l) in G x|_phi Z_m,
+    m = ord(phi), of pairs (element id, j), by mul_ids."""
+    return (g.mul_ids(a[0], semidirect_power(phi, b[0], a[1])),
+            (a[1] + b[1]) % phi.order())
+
+
+def semidirect_inv(g, phi, a):
+    """(g, j)^-1 = (phi^-j(g^-1), -j) in G x|_phi Z_m."""
+    return semidirect_power(phi, g.inverse_id(a[0]), -a[1]), -a[1] % phi.order()
+
+
+def reference_coset_move(g, phi, conjugator, k):
+    """Scalar reference for certify.coset_moves: the id table of
     x -> c (x, k) c^-1 in G x|_phi Z_m, built one element at a time with
-    mul_ids and the product (g, j)(h, l) = (g phi^j(h), j + l).  Asserts
-    that every conjugate stays in the coset."""
-    g, perm, m = semi.base, semi.phi.perm, semi.m
-
-    def power(i, j):
-        for _ in range(j % m):
-            i = int(perm[i])
-        return i
-
-    def mult(a, b):
-        return g.mul_ids(a[0], power(b[0], a[1])), (a[1] + b[1]) % m
-
-    c_inv = (power(g.inverse_id(conjugator[0]), -conjugator[1]), -conjugator[1] % m)
+    semidirect_mult and semidirect_inv.  Asserts that every conjugate stays
+    in the coset."""
+    c_inv = semidirect_inv(g, phi, conjugator)
     table = np.empty(g.order, dtype=np.int64)
     for x in range(g.order):
-        table[x], j = mult(mult(conjugator, (x, k)), c_inv)
-        assert j == k % m
+        conj = semidirect_mult(g, phi, conjugator, (x, k))
+        table[x], j = semidirect_mult(g, phi, conj, c_inv)
+        assert j == k % phi.order()
     return table
+
+
+def torus(w, p):
+    """The diagonal symplectic matrix diag(w, w^-1) over Z_p, w a unit."""
+    return rm.ModMatrix([[w, 0], [0, pow(w, -1, p)]], p)
 
 
 def reference_refined_partition(g, phi, chi):

@@ -161,7 +161,7 @@ def test_criterion_8_torus_conjugation_closed_form():
         if not rm.is_symplectic(M.entries, M.m):
             ok = False
             break
-        wbar = rm.TorusElement(w, 1).realize(p)
+        wbar = conftest.torus(w, p)
         flipped_inv = rm.ModMatrix([[d, b], [c, a]], p)  # phi(M^-1)
         prod = M @ wbar @ flipped_inv
         wi = pow(w, -1, p)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reidemeister as rm
-from conftest import reference_coset_move, reference_refined_partition
+from conftest import (reference_coset_move, reference_refined_partition, semidirect_inv,
+                      semidirect_mult, torus)
 from reidemeister import certify
 from reidemeister.certify import (FAIL, INCONCLUSIVE, PASS, _class_map, _refined_partition,
                                   growth_rows_csv)
@@ -85,14 +86,13 @@ class TestSemidirectOracle:
                  (dihedral8, rm.identity_automorphism(dihedral8)),
                  (quaternion8, _nontrivial_inner(quaternion8))]
         for g, phi in cases:
-            semi = rm.SemidirectGroup(g, phi)
             conjugators = [(s, 0) for s in g.user_generators().values()]
-            if semi.m > 1:
+            if phi.order() > 1:
                 conjugators.append((g.identity, 1))
-            moves = semi.coset_moves(k)
+            moves = rm.coset_moves(g, phi, k)
             assert len(moves) == len(conjugators)
             for c, move in zip(conjugators, moves):
-                assert np.array_equal(move, reference_coset_move(semi, c, k))
+                assert np.array_equal(move, reference_coset_move(g, phi, c, k))
 
     def test_order_four_outer_automorphism(self, dihedral8, dihedral8_outer):
         cert = rm.semidirect_oracle(dihedral8, dihedral8_outer)
@@ -104,7 +104,7 @@ class TestSemidirectOracle:
         # 2 user generators plus their inverses are augmented to 4 columns
         assert len(sp2_7.generators) == 4
         assert sp2_7.user_generators() == dict(enumerate(sp2_7.generators[:2]))
-        assert len(rm.SemidirectGroup(sp2_7, rm.sign_flip(sp2_7)).coset_moves(1)) == 3
+        assert len(rm.coset_moves(sp2_7, rm.sign_flip(sp2_7), 1)) == 3
 
     def test_broken_table_breaks_product_rule(self, monkeypatch, dihedral8):
         real = rm.FiniteGroup.action_table
@@ -121,18 +121,22 @@ class TestSemidirectOracle:
         assert cert.verdict == FAIL
 
     def test_semidirect_group_law(self, dihedral8):
+        # the scalar product that reference_coset_move is built on is a group law
         phi = rm.inner(dihedral8, dihedral8.element(1))
-        semi = rm.SemidirectGroup(dihedral8, phi)
-        assert semi.order == dihedral8.order * phi.order()
+        assert phi.order() == 2
         import random
         rng = random.Random(0)
         n = dihedral8.order
+
+        def mult(a, b):
+            return semidirect_mult(dihedral8, phi, a, b)
+
         for _ in range(200):
-            a = (rng.randrange(n), rng.randrange(semi.m))
-            b = (rng.randrange(n), rng.randrange(semi.m))
-            c = (rng.randrange(n), rng.randrange(semi.m))
-            assert semi.mult(semi.mult(a, b), c) == semi.mult(a, semi.mult(b, c))
-            assert semi.mult(a, semi.inv(a)) == (dihedral8.identity, 0)
+            a = (rng.randrange(n), rng.randrange(phi.order()))
+            b = (rng.randrange(n), rng.randrange(phi.order()))
+            c = (rng.randrange(n), rng.randrange(phi.order()))
+            assert mult(mult(a, b), c) == mult(a, mult(b, c))
+            assert mult(a, semidirect_inv(dihedral8, phi, a)) == (dihedral8.identity, 0)
 
 
 class TestBurnsideOracle:
@@ -197,10 +201,16 @@ class TestShiftBijection:
             assert rm.shift_bijection_check(sp2_5, phi, theta).verdict == PASS
 
     def test_abelian_fixture(self):
-        torus = rm.generate_group([rm.TorusElement(2, 1).realize(11)])
-        phi = rm.identity_automorphism(torus)
-        for theta in range(torus.order):
-            assert rm.shift_bijection_check(torus, phi, theta).verdict == PASS
+        g = rm.generate_group([torus(2, 11)])
+        phi = rm.identity_automorphism(g)
+        for theta in range(g.order):
+            assert rm.shift_bijection_check(g, phi, theta).verdict == PASS
+
+    @pytest.mark.parametrize("theta", [-1, 120])
+    def test_theta_outside_the_ids(self, theta, sp2_5):
+        # |Sp(2, Z_5)| = 120: ids are 0..119, and -1 is not the last one
+        with pytest.raises(PreconditionError, match="theta"):
+            rm.shift_bijection_check(sp2_5, rm.sign_flip(sp2_5), theta)
 
 
 class TestRefinedSplit:
@@ -294,6 +304,41 @@ class TestProp32:
         assert cert.computed["torus_pairing_ok"]
         assert cert.computed["torus_classes_exactly_pairs"]
 
+    @pytest.mark.parametrize("relabel,pairing,exact", [
+        (None, True, True),
+        ("merge", True, False),  # the class of torus(2) joins that of torus(1) and (-1)
+        ("split", False, False),  # torus(1) alone, apart from its partner torus(-1)
+    ])
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_torus_flags_match_scalar_reference(self, monkeypatch, p, relabel, pairing, exact):
+        real = certify.twisted_classes
+
+        def relabeled(g, phi):
+            part = real(g, phi)
+            class_of = part.class_of.copy()
+            one, two = g.id_of(torus(1, p)), g.id_of(torus(2, p))
+            if relabel == "merge":
+                class_of[class_of == class_of[two]] = class_of[one]
+            elif relabel == "split":
+                class_of[one] = part.n_classes
+            return rm.Partition(class_of, part.representatives, part.class_sizes,
+                                part.kind, part.automorphism)
+
+        monkeypatch.setattr(certify, "twisted_classes", relabeled)
+        cert = rm.prop32_certificate(p)
+        # the torus flags, recomputed one unit w at a time from torus(w, p)
+        g = rm.generate_group(rm.standard_generators(1, p))
+        class_of = certify.twisted_classes(g, rm.sign_flip(g)).class_of
+        label = {w: int(class_of[g.id_of(torus(w, p))]) for w in range(1, p)}
+        v1 = [w for w in range(1, p) if w * w % p == p - 1]
+        partner = {w: -pow(w, -1, p) % p for w in range(1, p) if w not in v1}
+        assert pairing == all(label[w] == label[u] for w, u in partner.items())
+        assert exact == all({x for x in label if label[x] == label[w]} == {w, u}
+                            for w, u in partner.items())
+        assert cert.computed["torus_pairing_ok"] == pairing
+        assert cert.computed["torus_classes_exactly_pairs"] == exact
+        assert cert.computed["v1_class_labels"] == sorted(label[w] for w in v1)
+
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
             rm.prop32_certificate(4)
@@ -384,3 +429,36 @@ class TestCertificateFormat:
             else:
                 assert not isinstance(x, float)
         walk(cert.to_dict())
+
+
+class TestMapsOfAnotherGroup:
+    @pytest.mark.parametrize("entry", ["twisted_classes", "semidirect_oracle",
+                                       "burnside_oracle", "refined_split_check",
+                                       "quotient_epi_check", "compose", "character_twist"])
+    def test_map_of_sp2_5_with_sp2_7(self, entry, sp2_5, sp2_7):
+        phi = rm.sign_flip(sp2_5)
+        calls = {
+            "twisted_classes": [lambda: rm.twisted_classes(sp2_7, phi)],
+            "semidirect_oracle": [lambda: rm.semidirect_oracle(sp2_7, phi)],
+            "burnside_oracle": [lambda: rm.burnside_oracle(sp2_7, phi)],
+            "refined_split_check": [
+                lambda: rm.refined_split_check(sp2_7, phi, rm.Character.trivial(sp2_7)),
+                lambda: rm.refined_split_check(sp2_7, rm.sign_flip(sp2_7),
+                                               rm.Character.trivial(sp2_5))],
+            "quotient_epi_check": [lambda: rm.quotient_epi_check(sp2_7, sp2_7, phi)],
+            "compose": [lambda: rm.compose(rm.sign_flip(sp2_7), phi)],
+            "character_twist": [
+                lambda: rm.character_twist(rm.Character.trivial(sp2_7), phi)],
+        }
+        for call in calls[entry]:
+            with pytest.raises(StructuralError, match="different group"):
+                call()
+
+
+def test_public_names_resolve():
+    assert len(set(rm.__all__)) == len(rm.__all__)
+    for name in rm.__all__:
+        assert getattr(rm, name) is not None
+    namespace = {}
+    exec("from reidemeister import *", namespace)
+    assert set(rm.__all__) <= set(namespace)

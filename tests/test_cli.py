@@ -259,6 +259,13 @@ class TestOracleCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    def test_semidirect_cap_counts_the_semidirect_product(self, capsys):
+        # |Sp(2, Z_7)| = 336 fits the cap; |Sp(2, Z_7) x| Z_2| = 672 does not
+        code, out, err = run(capsys, "oracle-semidirect", "--modulus", "7", "--cap", "400",
+                             "--no-header")
+        assert (code, out) == (3, "")
+        assert err == "error: capacity: closure exceeded cap of 400 elements (672 found)\n"
+
     def test_burnside(self, capsys):
         code, out, _ = run(capsys, "oracle-burnside", "--modulus", "13", "--no-header")
         assert code == 0

@@ -10,7 +10,7 @@ from reidemeister.group import twisted_moves
 from reidemeister.errors import (CapacityError, IntegrityError, SingularMatrixError,
                                  StructuralError)
 
-from conftest import (brute_force_twisted_partition, small_groups_with_automorphism,
+from conftest import (brute_force_twisted_partition, small_groups_with_automorphism, torus,
                       verify_closure)
 
 
@@ -127,10 +127,10 @@ class TestPartitions:
         assert np.array_equal(a.class_of, b.class_of)
 
     def test_abelian_group_singletons(self):
-        torus = rm.generate_group([rm.TorusElement(2, 1).realize(11)])
-        assert torus.order == 10
-        part = rm.ordinary_classes(torus)
-        assert part.n_classes == torus.order
+        g = rm.generate_group([torus(2, 11)])
+        assert g.order == 10
+        part = rm.ordinary_classes(g)
+        assert part.n_classes == g.order
         assert all(int(s) == 1 for s in part.class_sizes)
 
     def test_identity_class_is_singleton(self, sp2_5):
@@ -266,7 +266,7 @@ class TestRestrictTo:
     def test_torus_pairing_p13(self, sp2_13):
         p = 13
         part = rm.twisted_classes(sp2_13, rm.sign_flip(sp2_13))
-        ids = {w: sp2_13.id_of(rm.TorusElement(w, 1).realize(p)) for w in range(1, p)}
+        ids = {w: sp2_13.id_of(torus(w, p)) for w in range(1, p)}
         non_v1 = [w for w in range(1, p) if (w * w) % p != p - 1]
         labels = {ids[w]: int(part.class_of[ids[w]]) for w in non_v1}
         for w in non_v1:

@@ -10,7 +10,7 @@ import reidemeister as rm
 from reidemeister.errors import SingularMatrixError, StructuralError
 from reidemeister.modring import Modulus, _is_prime, entry_dtype, matmul_mod, product_dtype
 
-from conftest import from_canonical_key, within_one_second
+from conftest import from_canonical_key, torus, within_one_second
 
 
 def mm(entries, m):
@@ -26,11 +26,6 @@ class TestModulus:
     def test_too_small(self):
         with pytest.raises(StructuralError):
             Modulus(1)
-
-    def test_unit_inverse(self):
-        assert Modulus(9).unit_inverse(2) == 5
-        with pytest.raises(StructuralError):
-            Modulus(9).unit_inverse(3)
 
 
 class TestMatMul:
@@ -61,7 +56,7 @@ class TestMatMul:
             w = rng.randrange(1, p)
             M = mm([[a, b], [c, d]], p)
             assert rm.is_symplectic(M.entries, M.m)
-            wbar = rm.TorusElement(w, 1).realize(p)
+            wbar = torus(w, p)
             flipped_inv = mm([[d, b], [c, a]], p)  # phi(M^-1)
             prod = M @ wbar @ flipped_inv
             winv = pow(w, -1, p)
@@ -127,7 +122,7 @@ class TestSymplectic:
     def test_torus(self):
         for p in (5, 13):
             for w in range(1, p):
-                assert rm.is_symplectic(rm.TorusElement(w, 1).realize(p).entries, p)
+                assert rm.is_symplectic(torus(w, p).entries, p)
 
     def test_scaled_diagonal_fails(self):
         assert not rm.is_symplectic(mm([[2, 0], [0, 2]], 5).entries, 5)
@@ -270,10 +265,6 @@ class TestStructure:
     def test_entries_normalized(self):
         m = mm([[-1, 6], [0, 1]], 5)
         assert m.entries.tolist() == [[4, 1], [0, 1]]
-
-    def test_torus_non_unit(self):
-        with pytest.raises(StructuralError):
-            rm.TorusElement(3, 1).realize(9)
 
 
 small_matrix = st.integers(2, 9).flatmap(
