@@ -11,14 +11,14 @@ from .errors import (CapacityError, IntegrityError, PreconditionError,
                      SingularMatrixError, StructuralError, UnsupportedTwistError)
 from .generators import sp_order, standard_generators, transvection
 from .group import FiniteGroup, Partition, generate_group, ordinary_classes, twisted_classes
-from .modring import ModMatrix, Modulus, canonical_key, det, is_symplectic, mat_inverse
+from .modring import ModMatrix, canonical_key, det, is_symplectic, mat_inverse
 
 __version__ = "0.1.0"
 KERNEL_BACKEND = "numpy"  # the one kernel path; recorded with benchmark runs
 
 __all__ = [
     "Automorphism", "CapacityError", "Certificate", "Character", "FiniteGroup",
-    "IntegrityError", "KERNEL_BACKEND", "ModMatrix", "Modulus", "Partition",
+    "IntegrityError", "KERNEL_BACKEND", "ModMatrix", "Partition",
     "PreconditionError", "SingularMatrixError", "StructuralError",
     "UnsupportedTwistError", "burnside_oracle", "canonical_key", "character_twist",
     "compose", "coset_moves", "det", "generate_group", "growth_scan",

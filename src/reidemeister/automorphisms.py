@@ -63,7 +63,7 @@ def _from_generator_images(g: FiniteGroup, images, descriptor: dict) -> "Automor
 
 
 class Automorphism:
-    """Evaluable, validated self-map of a FiniteGroup."""
+    """Validated self-map of a FiniteGroup: perm[i] is the id of phi(element i)."""
 
     def __init__(self, group: FiniteGroup, perm: np.ndarray, descriptor: dict,
                  _validated=False):
@@ -73,14 +73,6 @@ class Automorphism:
         if not _validated:  # before the int32 cast, which could wrap an invalid id
             _validate_automorphism(group, np.asarray(perm), descriptor.get("kind", "?"))
         self.perm = np.asarray(perm, dtype=np.int32)
-
-    def apply_id(self, i: int) -> int:
-        return int(self.perm[i])
-
-    def __call__(self, x):
-        if isinstance(x, ModMatrix):
-            return self.group.element(self.apply_id(self.group.id_of(x)))
-        return self.apply_id(x)
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
@@ -194,11 +186,11 @@ def character_twist(chi: Character, base: Automorphism) -> Automorphism:
     check_same_group(g, chi)
     if chi.is_trivial:
         return base
-    neg_ident = ModMatrix((-np.eye(g.dim, dtype=np.int64)) % g.m, g.modulus)
-    if not g.contains(neg_ident):
+    neg_ident = int(g.ids_of(-np.eye(g.dim, dtype=np.int64)[None] % g.m)[0])
+    if neg_ident < 0:
         raise UnsupportedTwistError("-I is not in the group; character twist undefined")
     # -I is central, so -phi(x) = phi(x) (-I): one gather along the word of -I
-    negated = g.times(base.perm, g.id_of(neg_ident))
+    negated = g.times(base.perm, neg_ident)
     perm = np.where(chi.values == 1, base.perm, negated)
     desc = {"kind": "character_twist", "character": chi.digest(),
             "base": base.descriptor}
@@ -233,7 +225,7 @@ def parse_descriptor(g: FiniteGroup, spec: str) -> Automorphism:
         if len(entries) != d * d:
             raise PreconditionError(
                 f"inner conjugator needs {d * d} entries, got {len(entries)}")
-        return inner(g, ModMatrix(np.array(entries).reshape(d, d), g.modulus))
+        return inner(g, ModMatrix(np.array(entries).reshape(d, d), g.m))
     if spec.startswith("twist:"):
         chi = load_character_file(g, spec[len("twist:"):])
         return character_twist(chi, identity_automorphism(g))

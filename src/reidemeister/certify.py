@@ -360,13 +360,6 @@ def growth_scan(primes, n=1, cap=DEFAULT_CAP) -> Certificate:
     )
 
 
-def growth_rows_csv(cert: Certificate) -> str:
-    lines = ["p,group_order,reidemeister_count,bound"]
-    for r in cert.computed.get("rows", []):
-        lines.append(f"{r['p']},{r['group_order']},{r['reidemeister_count']},{r['bound']}")
-    return "\n".join(lines) + "\n"
-
-
 def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
                             cap=DEFAULT_CAP) -> Certificate:
     """Exhaustive block-structure filter for the torus reduction over Sp(2n, Z_p).

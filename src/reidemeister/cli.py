@@ -20,14 +20,28 @@ from . import certify
 from .automorphisms import parse_descriptor
 from .errors import CapacityError, IntegrityError, PreconditionError, StructuralError
 from .generators import sp_order
-from .group import DEFAULT_CAP, ordinary_classes, sp_group, twisted_classes
-from .modring import canonical_key
+from .group import DEFAULT_CAP, sp_group, twisted_classes
+from .modring import canonical_key, check_int64
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INTERNAL = 4
+
+
+# The seven commands on Sp(2n, Z_m): help, and the default --aut, if any.
+# classes takes no --aut: it is twisted with phi the identity.
+SP_COMMANDS = {
+    "order": ("order of Sp(2n, Z_m) by enumeration", None),
+    "classes": ("ordinary conjugacy classes of Sp(2n, Z_m)", None),
+    "twisted": ("twisted conjugacy classes under an automorphism", "sign_flip"),
+    "oracle-semidirect": ("semidirect-product conjugacy oracle", "sign_flip"),
+    "oracle-burnside": ("twisted Burnside-Frobenius count: phi-invariant classes",
+                        "sign_flip"),
+    "oracle-shift": ("inner-shift class bijection check", "sign_flip"),
+    "oracle-quotient": ("ring-quotient epimorphism check", "sign_flip"),
+}
 
 
 def _add_common(p):
@@ -47,22 +61,21 @@ def build_parser():
                     "for finite symplectic matrix groups.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("order", help="order of Sp(2n, Z_m) by enumeration")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--modulus", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("classes", help="ordinary conjugacy classes of Sp(2n, Z_m)")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--modulus", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("twisted", help="twisted conjugacy classes under an automorphism")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--aut", default="sign_flip",
-                   help="sign_flip | identity | inner:<entries> | twist:<char-file>")
-    _add_common(p)
+    for name, (text, aut) in SP_COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--modulus", dest="m", type=int, required=True)
+        if aut:
+            p.add_argument("--aut", default=aut,
+                           help="sign_flip | identity | inner:<entries> | twist:<char-file>")
+        else:
+            p.set_defaults(aut="identity")
+        if name == "oracle-shift":
+            p.add_argument("--trials", type=int, default=5,
+                           help="number of seeded random thetas")
+        if name == "oracle-quotient":
+            p.add_argument("--target", type=int, required=True, help="target modulus m' | m")
+        _add_common(p)
 
     p = sub.add_parser("certify-prop32", help="lower bound and torus pairing certificate")
     p.add_argument("--p", type=int, required=True)
@@ -73,36 +86,9 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     _add_common(p)
 
-    p = sub.add_parser("oracle-semidirect", help="semidirect-product conjugacy oracle")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--aut", default="sign_flip")
-    _add_common(p)
-
-    p = sub.add_parser("oracle-burnside",
-                       help="twisted Burnside-Frobenius count: phi-invariant classes")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--aut", default="sign_flip")
-    _add_common(p)
-
-    p = sub.add_parser("oracle-shift", help="inner-shift class bijection check")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--aut", default="sign_flip")
-    p.add_argument("--trials", type=int, default=5, help="number of seeded random thetas")
-    _add_common(p)
-
-    p = sub.add_parser("oracle-quotient", help="ring-quotient epimorphism check")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--target", type=int, required=True, help="target modulus m' | m")
-    p.add_argument("--aut", default="sign_flip")
-    _add_common(p)
-
     p = sub.add_parser("blocks-thm33", help="torus-reduction block structure filter")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--modulus", type=int, default=3)
+    p.add_argument("--modulus", dest="m", type=int, default=3)
     p.add_argument("--w", type=int, default=None)
     _add_common(p)
 
@@ -131,7 +117,7 @@ def _report_json(fields: dict) -> str:
     return json.dumps({"format": 1, **fields}, indent=2)
 
 
-def _partition_report(args, g, part, label):
+def _partition_report(args, g, part):
     if args.output == "csv":
         lines = ["class_id,representative,size"]
         for c in range(part.n_classes):
@@ -139,9 +125,9 @@ def _partition_report(args, g, part, label):
             lines.append(f"{c},{rep},{int(part.class_sizes[c])}")
         return "\n".join(lines) + "\n"
     fields = {
-        "command": label,
+        "command": args.command,
         "n": args.n,
-        "modulus": args.modulus,
+        "modulus": args.m,
         "group_order": g.order,
         "class_count": part.n_classes,
         "class_sizes": [int(x) for x in part.class_sizes],
@@ -152,42 +138,43 @@ def _partition_report(args, g, part, label):
 
 
 def _certificate_report(args, cert):
+    rows = cert.computed.get("rows", [])
     if args.output == "csv" and cert.claim_id == "lemma2.2-growth-evidence":
-        return certify.growth_rows_csv(cert)
+        lines = ["p,group_order,reidemeister_count,bound"]
+        lines += [f"{r['p']},{r['group_order']},{r['reidemeister_count']},{r['bound']}"
+                  for r in rows]
+        return "\n".join(lines) + "\n"
     if args.output == "text":
         lines = [f"claim: {cert.claim_id}", f"verdict: {cert.verdict}"]
         lines += [f"{k}: {v}" for k, v in cert.computed.items() if k != "rows"]
-        for r in cert.computed.get("rows", []):
+        for r in rows:
             lines.append(f"  p={r['p']} order={r['group_order']} "
                          f"R={r['reidemeister_count']} bound={r['bound']}")
         return "\n".join(lines)
     return cert.to_json()
 
 
+def _oracle(args, g, phi):
+    """The certificate of the oracle command args.command on g and phi."""
+    if args.command == "oracle-semidirect":
+        return certify.semidirect_oracle(g, phi, cap=args.cap)
+    if args.command == "oracle-burnside":
+        return certify.burnside_oracle(g, phi)
+    if args.command == "oracle-quotient":
+        return certify.quotient_epi_check(g, sp_group(args.n, args.target, args.cap), phi)
+    rng = random.Random(args.seed)
+    certs = [certify.shift_bijection_check(g, phi, rng.randrange(g.order))
+             for _ in range(args.trials)]
+    worst = next((c for c in certs if c.verdict != certify.PASS), certs[-1])
+    worst.computed["trials"] = args.trials
+    worst.computed["all_pass"] = all(c.verdict == certify.PASS for c in certs)
+    worst.verdict = certify.PASS if worst.computed["all_pass"] else certify.FAIL
+    return worst
+
+
 def run(args) -> int:
     if args.cap < 1:
         raise PreconditionError(f"--cap must be >= 1, got {args.cap}")
-    if args.command == "order":
-        g = sp_group(args.n, args.modulus, args.cap)
-        payload = _report_json({"command": "order", "n": args.n,
-                                "modulus": args.modulus, "group_order": g.order,
-                                "order_formula": sp_order(args.n, args.modulus)})
-        _emit(args, payload)
-        return EXIT_PASS
-
-    if args.command == "classes":
-        g = sp_group(args.n, args.modulus, args.cap)
-        part = ordinary_classes(g)
-        _emit(args, _partition_report(args, g, part, "classes"))
-        return EXIT_PASS
-
-    if args.command == "twisted":
-        g = sp_group(args.n, args.modulus, args.cap)
-        phi = parse_descriptor(g, args.aut)
-        part = twisted_classes(g, phi)
-        _emit(args, _partition_report(args, g, part, "twisted"))
-        return EXIT_PASS
-
     if args.command == "certify-prop32":
         cert = certify.prop32_certificate(args.p, cap=args.cap)
     elif args.command == "certify-growth":
@@ -197,36 +184,30 @@ def run(args) -> int:
             raise PreconditionError(f"--primes must be comma-separated integers, "
                                     f"got {args.primes!r}") from None
         cert = certify.growth_scan(primes, n=args.n, cap=args.cap)
-    elif args.command == "oracle-semidirect":
-        g = sp_group(args.n, args.modulus, args.cap)
-        phi = parse_descriptor(g, args.aut)
-        cert = certify.semidirect_oracle(g, phi, cap=args.cap)
-    elif args.command == "oracle-burnside":
-        g = sp_group(args.n, args.modulus, args.cap)
-        cert = certify.burnside_oracle(g, parse_descriptor(g, args.aut))
-    elif args.command == "oracle-shift":
-        if args.trials < 1:
-            raise PreconditionError(f"--trials must be >= 1, got {args.trials}")
-        g = sp_group(args.n, args.modulus, args.cap)
-        phi = parse_descriptor(g, args.aut)
-        rng = random.Random(args.seed)
-        certs = [certify.shift_bijection_check(g, phi, rng.randrange(g.order))
-                 for _ in range(args.trials)]
-        worst = next((c for c in certs if c.verdict != certify.PASS), certs[-1])
-        worst.computed["trials"] = args.trials
-        worst.computed["all_pass"] = all(c.verdict == certify.PASS for c in certs)
-        worst.verdict = certify.PASS if worst.computed["all_pass"] else certify.FAIL
-        cert = worst
-    elif args.command == "oracle-quotient":
-        g = sp_group(args.n, args.modulus, args.cap)
-        phi = parse_descriptor(g, args.aut)
-        q = sp_group(args.n, args.target, args.cap)
-        cert = certify.quotient_epi_check(g, q, phi)
     elif args.command == "blocks-thm33":
-        cert = certify.thm33_block_certificate(args.modulus, n=args.n, w=args.w,
+        cert = certify.thm33_block_certificate(args.m, n=args.n, w=args.w,
                                                cap=args.cap)
-    else:
-        raise StructuralError(f"unknown command {args.command}")
+    else:  # one of SP_COMMANDS; its flags are checked before any closure
+        if args.command == "oracle-shift" and args.trials < 1:
+            raise PreconditionError(f"--trials must be >= 1, got {args.trials}")
+        if args.command == "oracle-quotient":
+            if args.target < 2:
+                raise PreconditionError(f"--target must be >= 2, got {args.target}")
+            check_int64(2 * args.n, args.target)  # "too large" before "does not divide"
+            if args.m % args.target:
+                raise StructuralError(
+                    f"target modulus {args.target} does not divide {args.m}")
+        g = sp_group(args.n, args.m, args.cap)
+        if args.command == "order":
+            _emit(args, _report_json({"command": "order", "n": args.n,
+                                      "modulus": args.m, "group_order": g.order,
+                                      "order_formula": sp_order(args.n, args.m)}))
+            return EXIT_PASS
+        phi = parse_descriptor(g, args.aut)
+        if args.command in ("classes", "twisted"):
+            _emit(args, _partition_report(args, g, twisted_classes(g, phi)))
+            return EXIT_PASS
+        cert = _oracle(args, g, phi)
 
     _emit(args, _certificate_report(args, cert))
     if cert.verdict == certify.PASS:

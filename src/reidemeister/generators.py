@@ -12,40 +12,38 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .modring import ModMatrix, Modulus, symplectic_form
+from .modring import ModMatrix, symplectic_form
 
 
-def transvection(v, n: int, modulus) -> ModMatrix:
+def transvection(v, n: int, m: int) -> ModMatrix:
     """Symplectic transvection x -> x + w(x, v) v as a matrix, I + v (Jv)^T."""
-    mod = modulus if isinstance(modulus, Modulus) else Modulus(int(modulus))
     J = symplectic_form(n)
     v = np.asarray(v, dtype=np.int64)
-    return ModMatrix(np.eye(2 * n, dtype=np.int64) + np.outer(v, J @ v), mod)
+    return ModMatrix(np.eye(2 * n, dtype=np.int64) + np.outer(v, J @ v), m)
 
 
 def standard_generators(n: int, m: int) -> list[ModMatrix]:
     if n < 1:
         raise PreconditionError(f"half-dimension must be >= 1, got {n}")
-    mod = Modulus(m)
     if n == 1:
-        return [ModMatrix([[1, 1], [0, 1]], mod), ModMatrix([[1, 0], [1, 1]], mod)]
+        return [ModMatrix([[1, 1], [0, 1]], m), ModMatrix([[1, 0], [1, 1]], m)]
     gens = []
     for i in range(n):
         e = np.zeros(2 * n, dtype=np.int64)
         e[2 * i] = 1
         f = np.zeros(2 * n, dtype=np.int64)
         f[2 * i + 1] = 1
-        gens.append(transvection(e, n, mod))
-        gens.append(transvection(f, n, mod))
+        gens.append(transvection(e, n, m))
+        gens.append(transvection(f, n, m))
     for i in range(n - 1):
         v = np.zeros(2 * n, dtype=np.int64)
         v[2 * i] = 1
         v[2 * (i + 1)] = 1
-        gens.append(transvection(v, n, mod))
+        gens.append(transvection(v, n, m))
         v = np.zeros(2 * n, dtype=np.int64)
         v[2 * i + 1] = 1
         v[2 * (i + 1) + 1] = 1
-        gens.append(transvection(v, n, mod))
+        gens.append(transvection(v, n, m))
     return gens
 
 

@@ -33,17 +33,13 @@ class Partition:
     """Labeling of every group element by conjugacy class.
 
     class_of holds the orbit labels of kernels.orbits: classes are numbered
-    in the order of their least element id.  kind is "ordinary" or
-    "twisted"; for twisted partitions the inducing automorphism's
-    serializable descriptor is attached.  Representatives are the
+    in the order of their least element id.  Representatives are the
     lexicographically minimal canonical_key of each class.
     """
 
     class_of: np.ndarray
     representatives: np.ndarray
     class_sizes: np.ndarray
-    kind: str
-    automorphism: dict | None = None
 
     @property
     def n_classes(self) -> int:
@@ -62,7 +58,7 @@ class FiniteGroup:
     """
 
     def __init__(self, elements, parents, parent_gens, index, right, levels, gen_matrices,
-                 gen_source, modulus, symplectic):
+                 gen_source, m, symplectic):
         self.elements = elements  # (G, d, d) at entry_dtype(m): uint8 for m <= 256
         self.parents = parents  # int32
         self.parent_gens = parent_gens  # the narrowest signed dtype holding k
@@ -71,7 +67,7 @@ class FiniteGroup:
         self.levels = levels  # BFS level L holds ids levels[L] <= x < levels[L + 1]
         self.gen_matrices = gen_matrices  # (k, d, d), inverse-augmented
         self.gen_source = gen_source  # aug index -> index into the user's list
-        self.modulus = modulus
+        self.m = m
         self.symplectic = symplectic
         self.identity = 0
         self.generators = right[0].tolist()
@@ -84,12 +80,8 @@ class FiniteGroup:
     def dim(self) -> int:
         return self.elements.shape[1]
 
-    @property
-    def m(self) -> int:
-        return self.modulus.m
-
     def element(self, i: int) -> ModMatrix:
-        return ModMatrix(self.elements[i], self.modulus)
+        return ModMatrix(self.elements[i], self.m)
 
     def id_of(self, mat: ModMatrix) -> int:
         i = int(self.ids_of(mat.entries[None])[0])
@@ -97,15 +89,9 @@ class FiniteGroup:
             raise StructuralError("matrix is not an element of this group")
         return i
 
-    def contains(self, mat: ModMatrix) -> bool:
-        return self.ids_of(mat.entries[None])[0] >= 0
-
     def ids_of(self, mats) -> np.ndarray:
         """ids of a (n, d, d) stack of matrices; -1 where one is not an element."""
         return kernels.lookup(mats, self._index)
-
-    def mul_ids(self, i: int, j: int) -> int:
-        return int(self.products([i], [j])[0])
 
     def products(self, a, b) -> np.ndarray:
         """ids of a[t] b[t] (-1 if not an element), by kernels.product_ids."""
@@ -187,27 +173,25 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
     """
     if not gens:
         raise StructuralError("at least one generator required")
-    mod = gens[0].modulus
-    d = gens[0].dim
+    d, m = gens[0].dim, gens[0].m
     for g in gens:
-        if g.dim != d or g.m != mod.m:
+        if g.dim != d or g.m != m:
             raise StructuralError("generators must share dimension and modulus")
     inverses = [mat_inverse(g) for g in gens]  # raises SingularMatrixError
     # the generators, then their inverses, each kept at its first occurrence
     stack = np.stack([g.entries for g in [*gens, *inverses]])
-    symplectic = bool(is_symplectic(stack[:len(gens)], mod.m).all())
+    symplectic = bool(is_symplectic(stack[:len(gens)], m).all())
     first = np.sort(np.unique(stack.reshape(len(stack), -1), axis=0, return_index=True)[1])
     gen_stack = np.ascontiguousarray(stack[first])
     source = [int(i) % len(gens) for i in first]
-    elements, parents, parent_gens, index, right, levels = kernels.closure(
-        gen_stack, mod.m, cap)
+    elements, parents, parent_gens, index, right, levels = kernels.closure(gen_stack, m, cap)
     if symplectic:
         for lo in range(0, len(elements), kernels.CHUNK):  # bounds the transient products
-            bad = np.flatnonzero(~is_symplectic(elements[lo:lo + kernels.CHUNK], mod.m))
+            bad = np.flatnonzero(~is_symplectic(elements[lo:lo + kernels.CHUNK], m))
             if len(bad):
                 raise IntegrityError(f"element {lo + bad[0]} violates the symplectic condition")
     return FiniteGroup(elements, parents, parent_gens, index, right, levels, gen_stack,
-                       source, mod, symplectic)
+                       source, m, symplectic)
 
 
 def sp_group(n: int, m: int, cap: int) -> FiniteGroup:
@@ -229,7 +213,7 @@ def twisted_moves(g: FiniteGroup, phi, conjugators) -> list[np.ndarray]:
     """One move x -> a x phi(a)^-1 per conjugator id a, by gathers; through
     kernels.orbits, conjugators generating H give the orbits of all of H."""
     check_same_group(g, phi)
-    return [g.times(g.extend(g.generators, start=a), g.inverse_id(phi.apply_id(a)))
+    return [g.times(g.extend(g.generators, start=a), g.inverse_id(phi.perm[a]))
             for a in conjugators]
 
 
@@ -245,9 +229,7 @@ def twisted_classes(g: FiniteGroup, phi) -> Partition:
     sizes = np.bincount(class_of, minlength=n_classes).astype(np.int64)
     order = g.lex_order()
     reps = order[kernels.first_index(class_of[order], n_classes)]
-    kind = "ordinary" if phi.descriptor.get("kind") == "identity" else "twisted"
-    auto = None if kind == "ordinary" else phi.descriptor
-    return Partition(class_of, reps, sizes, kind, auto)
+    return Partition(class_of, reps, sizes)
 
 
 def ordinary_classes(g: FiniteGroup) -> Partition:

@@ -14,7 +14,6 @@ happens.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,44 +65,33 @@ def matmul_mod(m: int, *factors) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Modulus:
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise StructuralError(f"modulus must be >= 2, got {self.m}")
-
-
 class ModMatrix:
-    """Square matrix over Z_m of even dimension >= 2, immutable after construction."""
+    """Square matrix over Z_m, m >= 2, of even dimension >= 2, immutable once built."""
 
-    __slots__ = ("entries", "modulus")
+    __slots__ = ("entries", "m")
 
-    def __init__(self, entries, modulus):
-        mod = modulus if isinstance(modulus, Modulus) else Modulus(int(modulus))
+    def __init__(self, entries, m):
+        m = int(m)
+        if m < 2:  # before anything reduces by m
+            raise StructuralError(f"modulus must be >= 2, got {m}")
         a = np.array(entries, dtype=np.int64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] % 2 != 0 or a.shape[0] == 0:
             raise StructuralError(f"dimension must be even and >= 2, got {a.shape[0]}")
-        check_int64(a.shape[0], mod.m)
-        a = np.ascontiguousarray(a % mod.m)
+        check_int64(a.shape[0], m)
+        a = np.ascontiguousarray(a % m)
         a.setflags(write=False)
         self.entries = a
-        self.modulus = mod
+        self.m = m
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.modulus.m
-
     @classmethod
-    def identity(cls, dim, modulus):
-        return cls(np.eye(dim, dtype=np.int64), modulus)
+    def identity(cls, dim, m):
+        return cls(np.eye(dim, dtype=np.int64), m)
 
     def __eq__(self, other):
         if not isinstance(other, ModMatrix):
@@ -117,7 +105,7 @@ class ModMatrix:
         if (self.dim, self.m) != (other.dim, other.m):
             raise StructuralError(f"dimension or modulus mismatch: {self.dim} mod {self.m} "
                                   f"vs {other.dim} mod {other.m}")
-        return ModMatrix(matmul_mod(self.m, self.entries, other.entries), self.modulus)
+        return ModMatrix(matmul_mod(self.m, self.entries, other.entries), self.m)
 
     def __repr__(self):
         rows = ", ".join("[" + " ".join(str(x) for x in r) + "]" for r in self.entries)
@@ -174,7 +162,7 @@ def mat_inverse(a: ModMatrix) -> ModMatrix:
             if (i + j) % 2:
                 c = -c
             adj[i, j] = (c * dinv) % a.m
-    return ModMatrix(adj, a.modulus)
+    return ModMatrix(adj, a.m)
 
 
 def symplectic_form(n: int) -> np.ndarray:

@@ -216,6 +216,11 @@ def reference_character_values(group, gen_values):
     return vals
 
 
+def mul_ids(g, i, j):
+    """The id of element i times element j, by FiniteGroup.products."""
+    return int(g.products([i], [j])[0])
+
+
 def semidirect_power(phi, i, j):
     """The id of phi^j(i), phi applied j mod ord(phi) times."""
     for _ in range(j % phi.order()):
@@ -226,7 +231,7 @@ def semidirect_power(phi, i, j):
 def semidirect_mult(g, phi, a, b):
     """Scalar product (g, j)(h, l) = (g phi^j(h), j + l) in G x|_phi Z_m,
     m = ord(phi), of pairs (element id, j), by mul_ids."""
-    return (g.mul_ids(a[0], semidirect_power(phi, b[0], a[1])),
+    return (mul_ids(g, a[0], semidirect_power(phi, b[0], a[1])),
             (a[1] + b[1]) % phi.order())
 
 
@@ -257,7 +262,7 @@ def torus(w, p):
 def reference_refined_partition(g, phi, chi):
     """Refined partition of refined_split_check with every element a of
     H = ker(chi) as a move y -> a y phi(a)^-1."""
-    moves = [g.times(g.extend(g.generators, start=a), g.inverse_id(phi.apply_id(a)))
+    moves = [g.times(g.extend(g.generators, start=a), g.inverse_id(phi.perm[a]))
              for a in np.flatnonzero(chi.values == 1).tolist()]
     return kernels.orbits(moves, g.order)
 
@@ -288,7 +293,7 @@ def brute_force_twisted_partition(g, phi):
     every group element as a move, no generator moves or orbit kernel.  All
     |G|^2 products come from one matmul and one ids_of."""
     m, n, elems = g.m, g.order, g.elements.astype(np.int64)
-    inv_images = elems[[g.inverse_id(phi.apply_id(a)) for a in range(n)]]
+    inv_images = elems[[g.inverse_id(phi.perm[a]) for a in range(n)]]
     prods = np.matmul(np.matmul(elems[:, None], elems) % m, inv_images[:, None]) % m
     ids = g.ids_of(prods.reshape(n * n, g.dim, g.dim))  # row a, column x
     assert (ids >= 0).all(), "a x phi(a)^-1 escapes the group"

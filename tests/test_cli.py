@@ -97,7 +97,7 @@ class TestCharacterFile:
         for aug, src in enumerate(g.gen_source):
             if src not in seen:
                 seen.append(src)
-                key = canonical_key(ModMatrix(g.gen_matrices[aug], g.modulus)).hex()
+                key = canonical_key(ModMatrix(g.gen_matrices[aug], g.m)).hex()
                 lines.append(f"{key}={values[src]}")
         path = tmp_path / "char.txt"
         path.write_text("\n".join(lines) + "\n")
@@ -142,7 +142,7 @@ def _generator_keys(m):
     """Hex canonical keys of the user generators of Sp(2, Z_m)."""
     g = generate_group(standard_generators(1, m))
     first = [g.gen_source.index(src) for src in range(max(g.gen_source) + 1)]
-    return [canonical_key(ModMatrix(g.gen_matrices[c], g.modulus)).hex() for c in first]
+    return [canonical_key(ModMatrix(g.gen_matrices[c], g.m)).hex() for c in first]
 
 
 KEYS = {m: _generator_keys(m) for m in (4, 5, 6, 8, 9, 10, 12)}
@@ -178,6 +178,7 @@ class TestRandomInput:
     @given(st.sampled_from(["", "inner:", "twist:", "sign_flip", "identity"]),
            st.text(max_size=40))
     @example("twist:", "char\x00.txt")  # open() rejects the NUL with a ValueError
+    @example("", "")  # --aut= names no automorphism: a usage error
     def test_descriptor_strings(self, prefix, rest):
         code, err = _exit_status(["twisted", "--modulus", "5", f"--aut={prefix}{rest}"])
         assert code in (0, 1, 2), err
@@ -309,6 +310,19 @@ class TestOracleCommands:
                            "--target", "7")
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["1009", "97", "0", "1", "-5"])
+    def test_quotient_target_checked_before_any_closure(self, capsys, target):
+        # |Sp(2, Z_1009)| is over the default cap and Sp(2, Z_97) takes a
+        # second to enumerate; neither divides 7, and --target 0 must not
+        # reach a reduction by 0
+        with within_one_second(target):
+            code, out, err = run(capsys, "oracle-quotient", "--modulus", "7",
+                                 "--target", target)
+        assert code == 2, err
+        assert out == ""
+        assert err.endswith(f"target modulus {target} does not divide 7\n" if int(target) >= 2
+                            else f"--target must be >= 2, got {target}\n")
+
 
 class TestBlocksCommand:
     def test_default_is_honest_fail(self, capsys):
@@ -334,6 +348,20 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "--trials must be >= 1" in err
+
+    def test_shift_trials_checked_before_the_closure(self, capsys):
+        # |Sp(2, Z_1009)| is over the default cap: building it first exits 3
+        with within_one_second("oracle-shift"):
+            code, out, err = run(capsys, "oracle-shift", "--modulus", "1009", "--trials", "0")
+        assert code == 2, err
+        assert out == ""
+        assert "--trials must be >= 1, got 0" in err
+
+    def test_classes_takes_no_aut(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["classes", "--modulus", "5", "--aut", "sign_flip"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --aut sign_flip" in capsys.readouterr().err
 
     def test_growth_empty_prime_list(self, capsys):
         code, out, err = run(capsys, "certify-growth", "--primes", ",")
@@ -404,10 +432,10 @@ class TestBadInput:
         assert f"--cap must be >= 1, got {cap}" in err
 
     def test_unmapped_exception_is_internal_error(self, capsys, monkeypatch):
-        def boom(g):
+        def boom(g, phi):
             raise ZeroDivisionError("boom")
 
-        monkeypatch.setattr(cli, "ordinary_classes", boom)
+        monkeypatch.setattr(cli, "twisted_classes", boom)
         code, out, err = run(capsys, "classes", "--modulus", "5")
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""

@@ -10,8 +10,8 @@ from reidemeister.group import twisted_moves
 from reidemeister.errors import (CapacityError, IntegrityError, SingularMatrixError,
                                  StructuralError)
 
-from conftest import (brute_force_twisted_partition, small_groups_with_automorphism, torus,
-                      verify_closure)
+from conftest import (brute_force_twisted_partition, mul_ids, small_groups_with_automorphism,
+                      torus, verify_closure)
 
 
 class TestGenerateGroup:
@@ -82,7 +82,7 @@ class TestGenerateGroup:
         index = kernels.build_index(sp2_5.elements[:n], sp2_5.m)
         g = rm.FiniteGroup(sp2_5.elements[:n], sp2_5.parents[:n], sp2_5.parent_gens[:n],
                            index, sp2_5.right[:n], sp2_5.levels, sp2_5.gen_matrices,
-                           sp2_5.gen_source, sp2_5.modulus, True)
+                           sp2_5.gen_source, sp2_5.m, True)
         with pytest.raises(IntegrityError, match="escapes the group"):
             verify_closure(g)
 
@@ -123,7 +123,6 @@ class TestPartitions:
     def test_identity_automorphism_gives_ordinary(self, sp2_7):
         a = rm.ordinary_classes(sp2_7)
         b = rm.twisted_classes(sp2_7, rm.identity_automorphism(sp2_7))
-        assert a.kind == "ordinary"
         assert np.array_equal(a.class_of, b.class_of)
 
     def test_abelian_group_singletons(self):
@@ -145,7 +144,7 @@ class TestPartitions:
         for s in sp2_7.generators:
             move = sp2_7.action_table(
                 sp2_7.elements[s],
-                sp2_7.elements[sp2_7.inverse_id(phi.apply_id(s))])
+                sp2_7.elements[sp2_7.inverse_id(phi.perm[s])])
             assert np.array_equal(part.class_of[move], part.class_of)
 
     def test_lemma61_image_in_same_class(self, sp2_5, sp2_7, dihedral8):
@@ -164,12 +163,12 @@ class TestPartitions:
 
         def act(a, x):
             elems = sp2_5.elements.astype(np.int64)
-            prod = (elems[a] @ elems[x] @ elems[sp2_5.inverse_id(phi.apply_id(a))]) % sp2_5.m
-            return sp2_5.id_of(rm.ModMatrix(prod, sp2_5.modulus))
+            prod = (elems[a] @ elems[x] @ elems[sp2_5.inverse_id(phi.perm[a])]) % sp2_5.m
+            return sp2_5.id_of(rm.ModMatrix(prod, sp2_5.m))
 
         for _ in range(500):
             a, b, x = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            assert act(a, act(b, x)) == act(sp2_5.mul_ids(a, b), x)
+            assert act(a, act(b, x)) == act(mul_ids(sp2_5, a, b), x)
             assert act(sp2_5.identity, x) == x
 
     def test_representatives_lex_minimal(self, sp2_5):
@@ -190,7 +189,6 @@ class TestGatheredTables:
             raise AssertionError("matmul-and-lookup table or scalar product used")
 
         monkeypatch.setattr(rm.FiniteGroup, "action_table", refuse)
-        monkeypatch.setattr(rm.FiniteGroup, "mul_ids", refuse)
         phi = rm.sign_flip(sp2_7)
         rm.twisted_classes(sp2_7, rm.compose(rm.inner(sp2_7, sp2_7.element(5)), phi))
         assert rm.shift_bijection_check(sp2_7, phi, 11).verdict == "pass"
@@ -206,7 +204,7 @@ class TestGatheredTables:
             for phi in (rm.identity_automorphism(g), rm.sign_flip(g),
                         rm.inner(g, g.element(3))):
                 for s, move in zip(g.generators, twisted_moves(g, phi, g.generators)):
-                    w = g.inverse_id(phi.apply_id(s))
+                    w = g.inverse_id(phi.perm[s])
                     ref = g.action_table(g.elements[s], g.elements[w])
                     assert move.dtype == np.int32 and np.array_equal(move, ref)
             for x in range(g.order):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from reidemeister.errors import SingularMatrixError, StructuralError
-from reidemeister.modring import Modulus, _is_prime, entry_dtype, matmul_mod, product_dtype
+from reidemeister.modring import _is_prime, entry_dtype, matmul_mod, product_dtype
 
 from conftest import from_canonical_key, torus, within_one_second
 
@@ -24,8 +24,12 @@ class TestModulus:
         assert _is_prime(2)
 
     def test_too_small(self):
-        with pytest.raises(StructuralError):
-            Modulus(1)
+        # m = 0 checks that the bound is tested before any reduction by m
+        for m in (1, 0, -3):
+            with pytest.raises(StructuralError, match=f"modulus must be >= 2, got {m}"):
+                rm.ModMatrix([[1, 0], [0, 1]], m)
+        with pytest.raises(StructuralError, match="modulus must be >= 2, got 1"):
+            rm.standard_generators(1, 1)
 
 
 class TestMatMul:
