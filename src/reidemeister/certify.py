@@ -58,7 +58,7 @@ def coset_moves(g: FiniteGroup, phi: Automorphism, k: int) -> list[np.ndarray]:
     of phi, as id tables over x.
 
     Conjugation by (s, 0) is x -> s x phi^k(s^-1), one per user generator
-    s, by FiniteGroup.action_table (kernels.product_ids, never the
+    s, by FiniteGroup.action_table (kernels.product_ids' one sort, never the
     Cayley-table gathers that twisted_classes is built on); conjugation by
     (1, 1) is x -> phi(x), phi's own permutation, when m > 1.
     kernels.orbits needs no inverse moves.  Each table is checked at the

@@ -4,6 +4,8 @@ The CLI maps these onto exit statuses: structural/usage errors exit 2,
 capacity errors exit 3; any other exception is an internal error and exits 4.
 """
 
+import math
+
 
 class StructuralError(ValueError):
     """Malformed or mismatched inputs (dimension, modulus, unknown ids)."""
@@ -36,4 +38,13 @@ class CapacityError(RuntimeError):
     def __init__(self, cap, found):
         self.cap = cap
         self.found = found
-        super().__init__(f"closure exceeded cap of {cap} elements ({found} found)")
+        super().__init__(f"closure exceeded cap of {cap} elements ({_count(found)} found)")
+
+
+def _count(k: int) -> str:
+    """k in full below 10**15, else about d.dde+N (str() of a long int raises)."""
+    if k < 10**15:
+        return str(k)
+    e = int(math.log10(k))  # a float: corrected where k is near a power of ten
+    e += (k >= 10 ** (e + 1)) - (k < 10**e)
+    return f"about {k // 10 ** (e - 2) / 100:.2f}e+{e}"

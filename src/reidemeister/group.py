@@ -15,7 +15,7 @@ import numpy as np
 from . import kernels
 from .errors import CapacityError, IntegrityError, StructuralError
 from .generators import sp_order, standard_generators
-from .modring import ModMatrix, is_symplectic, mat_inverse
+from .modring import ModMatrix, check_int64, is_symplectic, mat_inverse
 
 DEFAULT_CAP = 10**7
 
@@ -54,7 +54,8 @@ class FiniteGroup:
     right is the closure's right Cayley table: right[x, c] is the id of
     x times generator c.  Every group action below is a chain of gathers
     from it; products and action_table, one kernels.product_ids call each,
-    are the oracles' own path and the tests' reference.
+    are the oracles' own path and the tests' reference: products by binary
+    search, action_table by one sort of its |G| product codes.
     """
 
     def __init__(self, elements, parents, parent_gens, index, right, levels, gen_matrices,
@@ -101,11 +102,12 @@ class FiniteGroup:
         return self.id_of(mat_inverse(self.element(i)))
 
     def action_table(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """ids of left @ x @ right mod m over all elements x, by
-        kernels.product_ids; left and right are reduced mod m first.  Raises
-        IntegrityError naming the first x whose image is not an element.
-        The semidirect and Burnside oracles build their tables with it, apart
-        from the gathered tables below, and the tests compare those with it."""
+        """ids of left @ x @ right mod m over all elements x, by one sort in
+        kernels.product_ids (a binary search only if an image escapes); left
+        and right are reduced mod m first.  Raises IntegrityError naming the
+        first x whose image is not an element.  The semidirect and Burnside
+        oracles build their tables with it, apart from the gathers below,
+        and the tests compare those with it."""
         left, right = (np.asarray(a, dtype=np.int64) % self.m for a in (left, right))
         ids = kernels.product_ids(self._index, left, self.elements, right)
         bad = np.flatnonzero(ids < 0)
@@ -196,11 +198,12 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
 
 def sp_group(n: int, m: int, cap: int) -> FiniteGroup:
     """Sp(2n, Z_m), enumerated from its standard generators; raises
-    CapacityError before the closure if |Sp(2n, Z_m)| exceeds cap."""
-    gens = standard_generators(n, m)  # rejects n < 1 and moduli past int64 first
-    if sp_order(n, m) > cap:
-        raise CapacityError(cap, sp_order(n, m))
-    return generate_group(gens, cap=cap)
+    CapacityError before building them if |Sp(2n, Z_m)| exceeds cap."""
+    if n >= 1 and m >= 2:  # else standard_generators rejects n or m first
+        check_int64(2 * n, m)  # a modulus past int64 before the cap
+        if (order := sp_order(n, m)) > cap:
+            raise CapacityError(cap, order)
+    return generate_group(standard_generators(n, m), cap=cap)
 
 
 def check_same_group(g: FiniteGroup, *maps):

@@ -5,12 +5,12 @@ orbits of permutation moves.
 The element index keys each matrix by its radix code: the row-major
 entries as the digits of one number, most significant first, so codes
 ascend as canonical_key does.  It keeps the sorted codes and, in the same
-order, the int32 ids, and lookup() finds a stack of matrices by binary search
-with np.searchsorted.  Where a code reaches 2**63, the digits are packed into
-big-endian uint64 words, each row's words one np.void key that sorts,
-searches and compares the same way.  The index and each closure level are
-sorted by _sort_tagged, one value sort of code * n + position where that
-fits uint64.
+order, the int32 ids.  lookup() finds a stack by np.searchsorted;
+product_ids() sorts an action table's |G| codes and compares them with the
+keys whole.  Where a code reaches 2**63, digits are packed into big-endian
+uint64 words, each row's words one np.void key that sorts, searches and
+compares the same way.  _sort_tagged sorts them all, one value sort of
+code * n + position where that fits uint64.
 
 Elements are stored at entry_dtype(m) (one byte per entry for m <= 256),
 ids and parents as int32, and every matmul is modring.matmul_mod, in the
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import CapacityError, StructuralError
 from .modring import entry_dtype, matmul_mod
 
-CHUNK = 1 << 12  # frontier elements multiplied per batched matmul; bounds peak memory
+CHUNK = 1 << 12  # rows per batched matmul and needles per search; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
 ROW_CODES = 1 << 16  # row codes a uint16 row table holds (closure's table bound)
 
@@ -115,12 +115,13 @@ def build_index(elements, m) -> Index:
 
 
 def _search(keys, ids, needles) -> np.ndarray:
-    """ids of the needles among the sorted keys (ids[i] is keys[i]'s); -1 where absent."""
-    if not len(keys):
-        return np.full(len(needles), -1, dtype=np.int32)
-    pos = np.searchsorted(keys, needles)
-    np.minimum(pos, len(keys) - 1, out=pos)
-    return np.where(keys[pos] == needles, ids[pos], -1)
+    """ids of the needles in the sorted keys (ids[i] is keys[i]'s), by CHUNKs; -1 if absent."""
+    out = np.full(len(needles), -1, dtype=np.int32)
+    for lo in range(0, len(needles) if len(keys) else 0, CHUNK):
+        part = needles[lo:lo + CHUNK]
+        pos = np.minimum(np.searchsorted(keys, part), len(keys) - 1)
+        out[lo:lo + CHUNK] = np.where(keys[pos] == part, ids[pos], -1)
+    return out
 
 
 def lookup(mats, index) -> np.ndarray:
@@ -262,18 +263,26 @@ def closure(gens, m, cap):
 
 
 def product_ids(index, *factors) -> np.ndarray:
-    """ids of the products over Z_m of the factors, by matmul_mod and lookup
-    CHUNK rows at a time; -1 where a product is not an element.  Each factor
-    is a (n, d, d) stack, all of one length n, or a single (d, d) matrix that
-    multiplies every row; entries lie in [0, m).  The right Cayley table is
-    never read, so the oracles built on this stay disjoint from the gathers."""
+    """ids of the products over Z_m of the factors, by matmul_mod and radix
+    codes CHUNK rows at a time; -1 where a product is not an element.  Each
+    factor is a (n, d, d) stack, all of one length n, or a single (d, d)
+    matrix that multiplies every row; entries lie in [0, m).  A stack of |G|
+    rows whose sorted codes are index.keys (an action table) gets index.ids
+    by _sort_tagged's tags, a merge with no binary search (Knuth, TAOCP
+    5.3.2); the rest take _search.  The right Cayley table is never read, so
+    the oracles built on this stay disjoint from the gathers."""
     n = next(len(f) for f in factors if f.ndim == 3)
-    if not n:
-        return np.empty(0, dtype=np.int32)
-    return np.concatenate([
-        lookup(matmul_mod(index.m, *(f[lo:lo + CHUNK] if f.ndim == 3 else f
-                                     for f in factors)), index)
-        for lo in range(0, n, CHUNK)])
+    keys, m, d = index.keys, index.m, index.dim
+    codes = np.empty(n, dtype=keys.dtype)
+    for lo in range(0, n, CHUNK):
+        codes[lo:lo + CHUNK] = _codes(matmul_mod(m, *(f[lo:lo + CHUNK] if f.ndim == 3 else f
+                                                      for f in factors)).reshape(-1, d * d), m)
+    if n != len(keys):
+        return _search(keys, index.ids, codes)
+    codes, tags = _sort_tagged(codes)
+    ids = np.empty(n, dtype=np.int32)
+    ids[tags] = index.ids if np.array_equal(codes, keys) else _search(keys, index.ids, codes)
+    return ids
 
 
 def orbits(moves, n):

@@ -45,6 +45,19 @@ class TestOrder:
         assert code == 3
         assert "capacity" in err
 
+    @pytest.mark.parametrize("n,shown", [(120, "about 1.94e+13798"), (40, "about 6.54e+1545")])
+    def test_over_cap_order_is_one_short_line(self, capsys, monkeypatch, n, shown):
+        # |Sp(240, Z_3)| has 13,799 digits, past str()'s 4,300; the cap is
+        # checked before the 478 dense 240 x 240 generators are built
+        def refuse(*_):
+            raise AssertionError("generators built before the cap check")
+
+        monkeypatch.setattr("reidemeister.group.standard_generators", refuse)
+        code, out, err = run(capsys, "order", "--n", str(n), "--modulus", "3")
+        assert (code, out) == (3, "")
+        assert err == ("error: capacity: closure exceeded cap of 10000000 elements "
+                       f"({shown} found)\n")
+
 
 class TestClasses:
     def test_csv_sizes_sum(self, capsys):

@@ -189,6 +189,16 @@ def test_capacity_error_message():
     assert str(ref.value) == str(e.value)
 
 
+@pytest.mark.parametrize("found,shown", [
+    (10**15 - 1, "999999999999999"), (10**15, "about 1.00e+15"),
+    (10**20 - 1, "about 9.99e+19"), (123456 * 10**9000, "about 1.23e+9005")],
+    ids=["15-digits", "16-digits", "20-digits", "9006-digits"])  # str() of the last raises
+def test_capacity_error_shortens_long_counts(found, shown):
+    e = CapacityError(10, found)
+    assert str(e) == f"closure exceeded cap of 10 elements ({shown} found)"
+    assert e.found == found
+
+
 def test_closure_needs_inverse_closed_generators():
     # frontier search is exact only if x g lies within one level of x
     with pytest.raises(StructuralError, match="closed under inverses"):
@@ -249,6 +259,49 @@ class TestProductIds:
         assert len(got) == kernels.CHUNK + 1
         assert got.tolist() == _ids_row_by_row(
             g, (a.astype(np.int64) @ b.astype(np.int64)) % g.m)
+
+
+class TestActionTableSort:
+    """product_ids on a stack of exactly |G| rows: one sort and a comparison
+    of the whole keys where the products are a permutation of G, the chunked
+    search where they are not."""
+
+    @pytest.mark.parametrize("chunk", [None, 64])
+    @pytest.mark.parametrize("group", ["sp2_13", "signed_perm4_17"])
+    def test_action_table_against_rows(self, group, chunk, request, monkeypatch):
+        g = request.getfixturevalue(group)
+        if chunk:  # the codes span several chunks
+            monkeypatch.setattr(kernels, "CHUNK", chunk)
+        left, right = g.elements[5].astype(np.int64), g.elements[g.inverse_id(9)]
+        want = _ids_row_by_row(g, (left @ g.elements.astype(np.int64) @ right) % g.m)
+        assert g.action_table(left, right).tolist() == want
+        assert sorted(want) == list(range(g.order))
+        if group == "signed_perm4_17":
+            assert g._index.keys.dtype.kind == "V"  # multi-word keys
+
+    def test_permutation_needs_no_search(self, monkeypatch, sp2_13):
+        g = sp2_13
+        left, right = g.elements[3], g.elements[g.inverse_id(3)]
+        want = g.action_table(left, right)
+
+        def refuse(*_):
+            raise AssertionError("binary search on a permutation table")
+
+        monkeypatch.setattr(kernels, "_search", refuse)
+        assert np.array_equal(g.action_table(left, right), want)
+
+    def test_stack_of_order_rows_that_is_not_a_permutation(self, monkeypatch, sp2_13):
+        g, index = sp2_13, kernels.build_index(sp2_13.elements, sp2_13.m)
+        a = g.elements.copy()
+        a[::7] = 2 * np.eye(2, dtype=a.dtype)  # det 4: these products miss
+        a[1::7] = a[2::7]  # and these repeat an element
+        calls = []
+        real = kernels._search
+        monkeypatch.setattr(kernels, "_search", lambda *args: calls.append(1) or real(*args))
+        got = kernels.product_ids(index, a, g.elements[11])
+        want = _ids_row_by_row(g, (a.astype(np.int64) @ g.elements[11]) % g.m)
+        assert calls and got.tolist() == want
+        assert want[::7] == [-1] * len(want[::7]) and min(want[1:7]) >= 0
 
 
 def test_products_of_no_ids(sp2_5):
