@@ -2,7 +2,7 @@
 for finite symplectic matrix groups over Z_m."""
 
 from .automorphisms import (Automorphism, Character, character_twist, compose,
-                            identity_automorphism, inner, sign_flip)
+                            identity_automorphism, inner, ordinary_classes, sign_flip)
 from .certify import (Certificate, burnside_oracle, coset_moves, growth_scan,
                       prop32_certificate, quotient_epi_check,
                       refined_split_check, semidirect_oracle,
@@ -10,7 +10,7 @@ from .certify import (Certificate, burnside_oracle, coset_moves, growth_scan,
 from .errors import (CapacityError, IntegrityError, PreconditionError,
                      SingularMatrixError, StructuralError, UnsupportedTwistError)
 from .generators import sp_order, standard_generators, transvection
-from .group import FiniteGroup, Partition, generate_group, ordinary_classes, twisted_classes
+from .group import FiniteGroup, Partition, generate_group, twisted_classes
 from .modring import ModMatrix, canonical_key, det, is_symplectic, mat_inverse
 
 __version__ = "0.1.0"

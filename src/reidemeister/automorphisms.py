@@ -20,17 +20,31 @@ import numpy as np
 from . import kernels
 from .errors import (IntegrityError, PreconditionError, StructuralError,
                      UnsupportedTwistError)
-from .group import FiniteGroup, check_same_group, random_pairs
+from .group import FiniteGroup, Partition, check_same_group, random_pairs, twisted_classes
 from .modring import ModMatrix, canonical_key, mat_inverse, matmul_mod, sign_pattern
 
 RANDOM_PAIR_SAMPLES = 1000
 
 
-def _validate_automorphism(g: FiniteGroup, perm: np.ndarray, what: str, images=None):
-    """Checks perm is an automorphism: phi(x g_c) = phi(x) phi(g_c) on every
-    edge of the right Cayley table (all pairs, by induction on word length),
-    the declared generator images if given, bijectivity, and seeded random
-    pairs as a belt-and-braces check."""
+def _check_homomorphism(g: FiniteGroup, f: np.ndarray, times, mul, what: str):
+    """Checks f(x y) = f(x) f(y) for a table f over the element ids, where
+    times(t, v) multiplies every entry of t by one value v and mul(a, b)
+    multiplies two tables entrywise: on every edge (x, g_c) of the right
+    Cayley table, which by induction on word length covers all pairs, then
+    on seeded random pairs as a belt-and-braces check.  Raises
+    IntegrityError "<what> at generator s" or "<what> at pair (i,j)"."""
+    for c, s in enumerate(g.generators):
+        if not np.array_equal(f[g.right[:, c]], times(f, f[s])):
+            raise IntegrityError(f"{what} at generator {s}")
+    i, j = random_pairs(g.order, RANDOM_PAIR_SAMPLES)
+    bad = np.flatnonzero(f[g.products(i, j)] != mul(f[i], f[j]))
+    if len(bad):
+        raise IntegrityError(f"{what} at pair ({i[bad[0]]},{j[bad[0]]})")
+
+
+def _validate_automorphism(g: FiniteGroup, perm: np.ndarray, what: str):
+    """Checks perm is an automorphism: ids in range, the identity fixed, the
+    homomorphism property by _check_homomorphism, then bijectivity."""
     n = g.order
     if perm.shape != (n,):
         raise IntegrityError(f"{what}: image table has wrong size")
@@ -38,28 +52,22 @@ def _validate_automorphism(g: FiniteGroup, perm: np.ndarray, what: str, images=N
         raise IntegrityError(f"{what}: not a bijection of the element table")
     if perm[g.identity] != g.identity:
         raise IntegrityError(f"{what}: identity not fixed")
-    for c, s in enumerate(g.generators):
-        if not np.array_equal(perm[g.right[:, c]], g.times(perm, int(perm[s]))):
-            raise IntegrityError(f"{what}: homomorphism property fails at generator {s}")
-    if images is not None and not np.array_equal(perm[g.generators], images):
-        raise IntegrityError(f"{what}: generator images differ from the declared ones")
+    _check_homomorphism(g, perm, g.times, g.products, f"{what}: homomorphism property fails")
     if not np.array_equal(np.sort(perm), np.arange(n)):
         raise IntegrityError(f"{what}: not a bijection of the element table")
-    i, j = random_pairs(n, RANDOM_PAIR_SAMPLES)
-    ij, images_ij = g.products(np.concatenate([i, perm[i]]),
-                               np.concatenate([j, perm[j]])).reshape(2, -1)
-    bad = np.flatnonzero(perm[ij] != images_ij)
+
+
+def _from_generator_images(g: FiniteGroup, mats: np.ndarray, descriptor: dict,
+                           escape: str) -> "Automorphism":
+    """The automorphism sending generator column c to the element mats[c],
+    extended along the BFS tree and validated on every Cayley edge.  Raises
+    IntegrityError escape.format(s) for the first generator s whose image
+    is not an element."""
+    images = g.ids_of(mats)
+    bad = np.flatnonzero(images < 0)
     if len(bad):
-        raise IntegrityError(f"{what}: homomorphism property fails at pair "
-                             f"({i[bad[0]]},{j[bad[0]]})")
-
-
-def _from_generator_images(g: FiniteGroup, images, descriptor: dict) -> "Automorphism":
-    """The automorphism sending generator column c to images[c], extended
-    along the BFS tree and validated on every Cayley edge."""
-    perm = g.extend(images)
-    _validate_automorphism(g, perm, descriptor["kind"], images=images)
-    return Automorphism(g, perm, descriptor, _validated=True)
+        raise IntegrityError(escape.format(g.generators[bad[0]]))
+    return Automorphism(g, g.extend(images), descriptor)
 
 
 class Automorphism:
@@ -99,29 +107,26 @@ def identity_automorphism(g: FiniteGroup) -> Automorphism:
                         {"kind": "identity"}, _validated=True)
 
 
+def ordinary_classes(g: FiniteGroup) -> Partition:
+    return twisted_classes(g, identity_automorphism(g))
+
+
 def sign_flip(g: FiniteGroup) -> Automorphism:
     """Entrywise multiplication by (-1)^(i+j); conjugation by diag(1,-1,1,-1,...)."""
-    images = g.ids_of((g.gen_matrices * sign_pattern(g.dim)) % g.m)
-    bad = np.flatnonzero(images < 0)
-    if len(bad):
-        raise IntegrityError(
-            f"sign-flip image of element {g.generators[bad[0]]} is not in the group "
-            "(group not normalized by diag(1,-1,...))")
-    return _from_generator_images(g, images, {"kind": "sign_flip"})
+    return _from_generator_images(
+        g, g.elements[g.generators] * sign_pattern(g.dim) % g.m, {"kind": "sign_flip"},
+        "sign-flip image of element {} is not in the group "
+        "(group not normalized by diag(1,-1,...))")
 
 
 def inner(g: FiniteGroup, u: ModMatrix) -> Automorphism:
     """Conjugation x -> u x u^-1; u must normalize the group."""
     if u.dim != g.dim or u.m != g.m:
         raise StructuralError("conjugator has wrong dimension or modulus")
-    uinv = mat_inverse(u)
-    images = g.ids_of(matmul_mod(g.m, u.entries, g.gen_matrices, uinv.entries))
-    escaped = np.flatnonzero(images < 0)
-    if len(escaped):
-        raise IntegrityError(f"conjugate of generator {g.generators[escaped[0]]} escapes "
-                             "the group: u does not normalize it")
+    mats = matmul_mod(g.m, u.entries, g.elements[g.generators], mat_inverse(u).entries)
     desc = {"kind": "inner", "conjugator": [int(x) for x in u.entries.ravel()]}
-    return _from_generator_images(g, images, desc)
+    return _from_generator_images(
+        g, mats, desc, "conjugate of generator {} escapes the group: u does not normalize it")
 
 
 class Character:
@@ -144,7 +149,12 @@ class Character:
         gen_values[i]: +-1 for generator i as passed to generate_group, for
         each i in gen_source; an inverse generator inherits its source's value.
         """
-        aug_values = np.array([int(gen_values[src]) for src in group.gen_source])
+        aug_values = np.empty(len(group.gen_source), dtype=np.int64)
+        for c, src in enumerate(group.gen_source):
+            try:
+                aug_values[c] = int(gen_values[src])
+            except (IndexError, KeyError):
+                raise StructuralError(f"no character value for generator {src}") from None
         if not np.all(np.isin(aug_values, (1, -1))):
             raise StructuralError("character values must be +1 or -1")
         vals = np.ones(group.order, dtype=np.int64)
@@ -165,15 +175,8 @@ class Character:
             raise IntegrityError("character values outside {+1,-1}")
         if self.values[g.identity] != 1:
             raise IntegrityError("character does not send identity to +1")
-        vals = self.values
-        for c, s in enumerate(g.generators):
-            if not np.array_equal(vals[g.right[:, c]], vals * vals[s]):
-                raise IntegrityError(f"character not multiplicative at generator {s}")
-        i, j = random_pairs(g.order, RANDOM_PAIR_SAMPLES)
-        bad = np.flatnonzero(vals[g.products(i, j)] != vals[i] * vals[j])
-        if len(bad):
-            raise IntegrityError(f"character not multiplicative at pair "
-                                 f"({i[bad[0]]},{j[bad[0]]})")
+        _check_homomorphism(g, self.values, np.multiply, np.multiply,
+                            "character not multiplicative")
         return True
 
     def digest(self) -> str:

@@ -275,12 +275,18 @@ def _torus(w: int, n: int, p: int) -> np.ndarray:
     return t
 
 
+def _check_prime(p: int, dim: int, least: int):
+    """Raises unless dim x dim products over Z_p are exact in int64 (checked
+    first: primality is tested by trial division) and p is a prime >= least."""
+    check_int64(dim, p)
+    if p < least or not _is_prime(p):
+        raise PreconditionError(f"need a prime p >= {least}, got {p}")
+
+
 def prop32_certificate(p: int, cap=DEFAULT_CAP) -> Certificate:
     """Sp(2, Z_p) with the sign-flip: R >= (p-3)/2, |V1| as predicted, and
     the torus pairing w-bar ~ -w-bar^-1 for every unit w outside V1."""
-    check_int64(2, p)
-    if p < 5 or not _is_prime(p):
-        raise PreconditionError(f"need a prime p >= 5, got {p}")
+    _check_prime(p, 2, 5)
     g = sp_group(1, p, cap)
     phi = sign_flip(g)
     part = twisted_classes(g, phi)
@@ -327,9 +333,7 @@ def growth_scan(primes, n=1, cap=DEFAULT_CAP) -> Certificate:
     if primes != sorted(primes) or len(set(primes)) != len(primes):
         raise PreconditionError("primes must be strictly ascending")
     for p in primes:
-        check_int64(2 * n, p)
-        if p < 3 or not _is_prime(p):
-            raise PreconditionError(f"{p} is not an admissible prime (need >= 3)")
+        _check_prime(p, 2 * n, 3)
     rows = []
     capacity_hit = None
     for p in primes:
@@ -375,9 +379,7 @@ def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
     """
     if n < 2:
         raise PreconditionError("block analysis needs half-dimension n >= 2")
-    check_int64(2 * n, p)
-    if not _is_prime(p):
-        raise PreconditionError(f"block analysis is restricted to prime moduli, got {p}")
+    _check_prime(p, 2 * n, 2)
     if w is None:
         w = 2  # the least unit != 1 of an odd prime
     if not 0 < w < p:

@@ -11,6 +11,7 @@ header line (suppress with --no-header).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -96,21 +97,13 @@ def build_parser():
 
 
 def _emit(args, payload: str):
-    out = sys.stdout
-    close = False
-    if args.out:
-        out = open(args.out, "w")
-        close = True
-    try:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
         if not args.no_header:
             stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
             out.write(f"# reidemeister {args.command} format=1 {stamp}\n")
         out.write(payload)
         if not payload.endswith("\n"):
             out.write("\n")
-    finally:
-        if close:
-            out.close()
 
 
 def _report_json(fields: dict) -> str:

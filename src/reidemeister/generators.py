@@ -27,24 +27,9 @@ def standard_generators(n: int, m: int) -> list[ModMatrix]:
         raise PreconditionError(f"half-dimension must be >= 1, got {n}")
     if n == 1:
         return [ModMatrix([[1, 1], [0, 1]], m), ModMatrix([[1, 0], [1, 1]], m)]
-    gens = []
-    for i in range(n):
-        e = np.zeros(2 * n, dtype=np.int64)
-        e[2 * i] = 1
-        f = np.zeros(2 * n, dtype=np.int64)
-        f[2 * i + 1] = 1
-        gens.append(transvection(e, n, m))
-        gens.append(transvection(f, n, m))
-    for i in range(n - 1):
-        v = np.zeros(2 * n, dtype=np.int64)
-        v[2 * i] = 1
-        v[2 * (i + 1)] = 1
-        gens.append(transvection(v, n, m))
-        v = np.zeros(2 * n, dtype=np.int64)
-        v[2 * i + 1] = 1
-        v[2 * (i + 1) + 1] = 1
-        gens.append(transvection(v, n, m))
-    return gens
+    basis = np.eye(2 * n, dtype=np.int64)  # rows e_1, f_1, e_2, f_2, ...
+    # each basis vector, then e_i + e_(i+1) and f_i + f_(i+1) in turn
+    return [transvection(v, n, m) for v in [*basis, *(basis[:-2] + basis[2:])]]
 
 
 def sp_order(n: int, m: int) -> int:

@@ -53,20 +53,19 @@ class FiniteGroup:
     the ids of the inverse-augmented generating set actually used for BFS.
     right is the closure's right Cayley table: right[x, c] is the id of
     x times generator c.  Every group action below is a chain of gathers
-    from it; products and action_table, one kernels.product_ids call each,
-    are the oracles' own path and the tests' reference: products by binary
-    search, action_table by one sort of its |G| product codes.
+    from it; ids_of, products and action_table, one kernels.product_ids call
+    each, are the oracles' own path and the tests' reference: products by
+    binary search, action_table by one sort of its |G| product codes.
     """
 
-    def __init__(self, elements, parents, parent_gens, index, right, levels, gen_matrices,
-                 gen_source, m, symplectic):
+    def __init__(self, elements, parents, parent_gens, index, right, levels, gen_source, m,
+                 symplectic):
         self.elements = elements  # (G, d, d) at entry_dtype(m): uint8 for m <= 256
         self.parents = parents  # int32
         self.parent_gens = parent_gens  # the narrowest signed dtype holding k
         self._index = index  # kernels.Index: the elements' sorted radix codes
         self.right = right  # (G, k) int32
         self.levels = levels  # BFS level L holds ids levels[L] <= x < levels[L + 1]
-        self.gen_matrices = gen_matrices  # (k, d, d), inverse-augmented
         self.gen_source = gen_source  # aug index -> index into the user's list
         self.m = m
         self.symplectic = symplectic
@@ -91,8 +90,15 @@ class FiniteGroup:
         return i
 
     def ids_of(self, mats) -> np.ndarray:
-        """ids of a (n, d, d) stack of matrices; -1 where one is not an element."""
-        return kernels.lookup(mats, self._index)
+        """ids of a (n, d, d) stack of matrices by kernels.product_ids, as a
+        product of one factor; -1 where one is not an element, including any
+        matrix with an entry outside [0, m), which the index does not hold."""
+        mats = np.asarray(mats)
+        ids = np.full(len(mats), -1, dtype=np.int32)
+        if mats.shape[1:] == (self.dim, self.dim):
+            ok = ((mats >= 0) & (mats < self.m)).all(axis=(1, 2))
+            ids[ok] = kernels.product_ids(self._index, mats[ok])
+        return ids
 
     def products(self, a, b) -> np.ndarray:
         """ids of a[t] b[t] (-1 if not an element), by kernels.product_ids."""
@@ -192,8 +198,8 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
             bad = np.flatnonzero(~is_symplectic(elements[lo:lo + kernels.CHUNK], m))
             if len(bad):
                 raise IntegrityError(f"element {lo + bad[0]} violates the symplectic condition")
-    return FiniteGroup(elements, parents, parent_gens, index, right, levels, gen_stack,
-                       source, m, symplectic)
+    return FiniteGroup(elements, parents, parent_gens, index, right, levels, source, m,
+                       symplectic)
 
 
 def sp_group(n: int, m: int, cap: int) -> FiniteGroup:
@@ -233,10 +239,3 @@ def twisted_classes(g: FiniteGroup, phi) -> Partition:
     order = g.lex_order()
     reps = order[kernels.first_index(class_of[order], n_classes)]
     return Partition(class_of, reps, sizes)
-
-
-def ordinary_classes(g: FiniteGroup) -> Partition:
-    from .automorphisms import identity_automorphism
-
-    return twisted_classes(g, identity_automorphism(g))
-

@@ -5,12 +5,13 @@ orbits of permutation moves.
 The element index keys each matrix by its radix code: the row-major
 entries as the digits of one number, most significant first, so codes
 ascend as canonical_key does.  It keeps the sorted codes and, in the same
-order, the int32 ids.  lookup() finds a stack by np.searchsorted;
-product_ids() sorts an action table's |G| codes and compares them with the
-keys whole.  Where a code reaches 2**63, digits are packed into big-endian
-uint64 words, each row's words one np.void key that sorts, searches and
-compares the same way.  _sort_tagged sorts them all, one value sort of
-code * n + position where that fits uint64.
+order, the int32 ids.  product_ids() looks up a stack of products, a
+stack of matrices being a product of one factor: it sorts |G| codes (an
+action table) once and compares them with the keys whole, and finds any
+other stack by np.searchsorted.  Where a code reaches 2**63, digits are
+packed into big-endian uint64 words, each row's words one np.void key that
+sorts, searches and compares the same way.  _sort_tagged sorts them all,
+one value sort of code * n + position where that fits uint64.
 
 Elements are stored at entry_dtype(m) (one byte per entry for m <= 256),
 ids and parents as int32, and every matmul is modring.matmul_mod, in the
@@ -122,20 +123,6 @@ def _search(keys, ids, needles) -> np.ndarray:
         pos = np.minimum(np.searchsorted(keys, part), len(keys) - 1)
         out[lo:lo + CHUNK] = np.where(keys[pos] == part, ids[pos], -1)
     return out
-
-
-def lookup(mats, index) -> np.ndarray:
-    """Element ids of a (n, d, d) stack of matrices; -1 where one is not an
-    element, including any matrix with an entry outside [0, m), which the
-    index does not hold (a radix code would carry it into the next digit)."""
-    mats = np.asarray(mats)
-    d, m = index.dim, index.m
-    if mats.shape[1:] != (d, d):
-        return np.full(len(mats), -1, dtype=np.int32)
-    flat = mats.reshape(len(mats), d * d)
-    ids = _search(index.keys, index.ids, _codes(flat, m))
-    ids[~((flat >= 0) & (flat < m)).all(axis=1)] = -1
-    return ids
 
 
 def _row_tables(gens, m):
@@ -266,10 +253,10 @@ def product_ids(index, *factors) -> np.ndarray:
     """ids of the products over Z_m of the factors, by matmul_mod and radix
     codes CHUNK rows at a time; -1 where a product is not an element.  Each
     factor is a (n, d, d) stack, all of one length n, or a single (d, d)
-    matrix that multiplies every row; entries lie in [0, m).  A stack of |G|
-    rows whose sorted codes are index.keys (an action table) gets index.ids
-    by _sort_tagged's tags, a merge with no binary search (Knuth, TAOCP
-    5.3.2); the rest take _search.  The right Cayley table is never read, so
+    matrix that multiplies every row; entries lie in [0, m).  One stack alone
+    is looked up as it is.  A stack of |G| rows whose sorted codes are
+    index.keys (an action table) gets index.ids by _sort_tagged's tags, a
+    merge with no binary search (Knuth, TAOCP 5.3.2); the rest take _search.  The right Cayley table is never read, so
     the oracles built on this stay disjoint from the gathers."""
     n = next(len(f) for f in factors if f.ndim == 3)
     keys, m, d = index.keys, index.m, index.dim

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from conftest import mul_ids, reference_character_values
-from reidemeister.automorphisms import (_from_generator_images, load_character_file,
-                                        parse_descriptor)
-from reidemeister.errors import (IntegrityError, PreconditionError,
+from reidemeister.automorphisms import (RANDOM_PAIR_SAMPLES, _from_generator_images,
+                                        load_character_file, parse_descriptor)
+from reidemeister.errors import (IntegrityError, PreconditionError, StructuralError,
                                  UnsupportedTwistError)
+from reidemeister.group import random_pairs
 
 
 class TestSignFlip:
@@ -123,6 +124,12 @@ class TestCharacter:
         with pytest.raises(Exception):
             rm.Character.from_generator_values(dihedral8, [1, 2])
 
+    @pytest.mark.parametrize("gen_values", [[-1], {0: -1}])
+    def test_missing_value_rejected(self, gen_values):
+        g = rm.generate_group(rm.standard_generators(1, 6))
+        with pytest.raises(StructuralError, match="no character value for generator 1"):
+            rm.Character.from_generator_values(g, gen_values)
+
 
 class TestValidation:
     def test_swap_rejected(self, sp2_5):
@@ -144,7 +151,27 @@ class TestValidation:
             parent, c = sp2_5.parents[x], sp2_5.parent_gens[x]
             assert perm[x] == sp2_5.times(perm[[parent]], images[c])[0]
         with pytest.raises(IntegrityError, match="homomorphism property fails at gen"):
-            _from_generator_images(sp2_5, images, {"kind": "bad"})
+            _from_generator_images(sp2_5, sp2_5.elements[images], {"kind": "bad"}, "{}")
+
+    @pytest.mark.parametrize("table", ["automorphism", "character"])
+    def test_corrupt_entry_fails_at_a_cayley_edge(self, table):
+        # Sp(2, Z_12), |G| = 1152, with its sign flip and the S_3 sign
+        # character: the entry corrupted is one that no seeded random pair
+        # reads, so only the Cayley-edge check can refute the table
+        g = rm.generate_group(rm.standard_generators(1, 12))
+        i, j = random_pairs(g.order, RANDOM_PAIR_SAMPLES)
+        unread = np.setdiff1d(np.arange(1, g.order), np.concatenate([i, j, g.products(i, j)]))
+        x, y = unread[:2]
+        if table == "automorphism":
+            perm = rm.sign_flip(g).perm.copy()
+            perm[x] = perm[y]
+            build, args = rm.Automorphism, (g, perm, {"kind": "corrupt"})
+        else:
+            values = rm.Character.from_generator_values(g, [-1, -1]).values.copy()
+            values[x] *= -1
+            build, args = rm.Character, (g, values)
+        with pytest.raises(IntegrityError, match=r"at generator \d+$"):
+            build(*args)
 
     def test_sign_flip_needs_normalizer(self):
         # <[[0, 1], [2, 1]]> over Z_3 is cyclic of order 6; its sign flip

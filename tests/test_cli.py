@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reidemeister import cli, generate_group, standard_generators
 from reidemeister.cli import main
-from reidemeister.modring import ModMatrix, canonical_key
+from reidemeister.modring import canonical_key
 
 from conftest import within_one_second
 
@@ -110,7 +110,7 @@ class TestCharacterFile:
         for aug, src in enumerate(g.gen_source):
             if src not in seen:
                 seen.append(src)
-                key = canonical_key(ModMatrix(g.gen_matrices[aug], g.m)).hex()
+                key = canonical_key(g.element(g.generators[aug])).hex()
                 lines.append(f"{key}={values[src]}")
         path = tmp_path / "char.txt"
         path.write_text("\n".join(lines) + "\n")
@@ -155,7 +155,7 @@ def _generator_keys(m):
     """Hex canonical keys of the user generators of Sp(2, Z_m)."""
     g = generate_group(standard_generators(1, m))
     first = [g.gen_source.index(src) for src in range(max(g.gen_source) + 1)]
-    return [canonical_key(ModMatrix(g.gen_matrices[c], g.m)).hex() for c in first]
+    return [canonical_key(g.element(g.generators[c])).hex() for c in first]
 
 
 KEYS = {m: _generator_keys(m) for m in (4, 5, 6, 8, 9, 10, 12)}

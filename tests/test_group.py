@@ -68,9 +68,9 @@ class TestGenerateGroup:
         assert np.array_equal(pa.representatives, pb.representatives)
 
     def test_parent_links(self, sp2_5):
+        gens = sp2_5.elements[sp2_5.generators].astype(np.int64)
         for i in range(1, sp2_5.order):
-            prod = (sp2_5.elements[sp2_5.parents[i]]
-                    @ sp2_5.gen_matrices[sp2_5.parent_gens[i]]) % sp2_5.m
+            prod = (sp2_5.elements[sp2_5.parents[i]] @ gens[sp2_5.parent_gens[i]]) % sp2_5.m
             assert np.array_equal(prod, sp2_5.elements[i])
 
     def test_verify_closure(self, sp2_5):
@@ -81,8 +81,8 @@ class TestGenerateGroup:
         n = sp2_5.order - 1
         index = kernels.build_index(sp2_5.elements[:n], sp2_5.m)
         g = rm.FiniteGroup(sp2_5.elements[:n], sp2_5.parents[:n], sp2_5.parent_gens[:n],
-                           index, sp2_5.right[:n], sp2_5.levels, sp2_5.gen_matrices,
-                           sp2_5.gen_source, sp2_5.m, True)
+                           index, sp2_5.right[:n], sp2_5.levels, sp2_5.gen_source,
+                           sp2_5.m, True)
         with pytest.raises(IntegrityError, match="escapes the group"):
             verify_closure(g)
 

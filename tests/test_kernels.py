@@ -44,7 +44,7 @@ def _assert_matches_reference(gens, m):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     assert len(index.keys) == len(elems)
-    assert np.array_equal(kernels.lookup(elems, index), np.arange(len(elems)))
+    assert np.array_equal(kernels.product_ids(index, elems), np.arange(len(elems)))
     return elems
 
 
@@ -119,7 +119,7 @@ def test_representatives_are_least_canonical_keys(z1009):
 
 def test_closure_matches_reference_with_wide_keys(signed_perm4_17):
     # 17^16 >= 2^63: each radix code spans several words, one np.void key
-    gens = signed_perm4_17.gen_matrices
+    gens = signed_perm4_17.elements[signed_perm4_17.generators].astype(np.int64)
     elems = _assert_matches_reference(gens, 17)
     assert np.array_equal(elems, signed_perm4_17.elements)
     index = kernels.closure(gens, 17, 10**7)[3]
@@ -335,6 +335,22 @@ def test_lookup_rejects_unreduced_entries(sp2_5):
     step = 5 * np.eye(4, dtype=np.int64).reshape(4, 2, 2)
     moved = np.concatenate([sp2_5.elements[:, None] + step, sp2_5.elements[:, None] - step])
     assert np.all(sp2_5.ids_of(moved.reshape(-1, 2, 2)) == -1)
+
+
+def test_ids_of_a_permuted_stack(sp2_5, monkeypatch):
+    # |G| rows: product_ids sorts their codes once and finds them equal to
+    # the index keys, with no search
+    perm = np.random.default_rng(0).permutation(sp2_5.order)
+    stack = sp2_5.elements[perm].astype(np.int64)
+    searches = []
+    real = kernels._search
+    monkeypatch.setattr(kernels, "_search", lambda *args: searches.append(1) or real(*args))
+    assert sp2_5.ids_of(stack).tolist() == perm.tolist() and not searches
+    # one unreduced entry: that row alone is not found
+    stack[7, 1, 0] += sp2_5.m
+    want = perm.copy()
+    want[7] = -1
+    assert sp2_5.ids_of(stack).tolist() == want.tolist()
 
 
 def _assert_sorts_as_stable_argsort(codes):
