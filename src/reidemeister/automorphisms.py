@@ -71,16 +71,18 @@ def _from_generator_images(g: FiniteGroup, mats: np.ndarray, descriptor: dict,
 
 
 class Automorphism:
-    """Validated self-map of a FiniteGroup: perm[i] is the id of phi(element i)."""
+    """Validated self-map of a FiniteGroup: perm[i] is the id of phi(element i), a
+    read-only view, as order() and twisted_classes keep what they compute on phi."""
 
     def __init__(self, group: FiniteGroup, perm: np.ndarray, descriptor: dict,
                  _validated=False):
         self.group = group
         self.descriptor = descriptor
-        self._order = None
+        self._order = self._partition = None
         if not _validated:  # before the int32 cast, which could wrap an invalid id
             _validate_automorphism(group, np.asarray(perm), descriptor.get("kind", "?"))
-        self.perm = np.asarray(perm, dtype=np.int32)
+        self.perm = np.asarray(perm, dtype=np.int32).view()
+        self.perm.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
@@ -152,11 +154,12 @@ class Character:
         aug_values = np.empty(len(group.gen_source), dtype=np.int64)
         for c, src in enumerate(group.gen_source):
             try:
-                aug_values[c] = int(gen_values[src])
+                value = gen_values[src]
             except (IndexError, KeyError):
                 raise StructuralError(f"no character value for generator {src}") from None
-        if not np.all(np.isin(aug_values, (1, -1))):
-            raise StructuralError("character values must be +1 or -1")
+            if value not in (1, -1):  # compared, never truncated: -1.7 is not -1
+                raise StructuralError("character values must be +1 or -1")
+            aug_values[c] = value
         vals = np.ones(group.order, dtype=np.int64)
         parents, cols = group.parents, group.parent_gens
         for lo, hi in zip(group.levels[1:-1], group.levels[2:]):

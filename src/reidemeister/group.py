@@ -231,11 +231,16 @@ def twisted_classes(g: FiniteGroup, phi) -> Partition:
 
     Orbits of a . x = a x phi(a)^-1, by kernels.orbits on the twisted_moves
     of the user generators; classes are numbered in the order of their least
-    element id.  With phi the identity this is ordinary conjugacy.
+    element id.  With phi the identity this is ordinary conjugacy.  Each phi's
+    Partition is computed once, kept on phi and shared read-only.
     """
-    moves = twisted_moves(g, phi, g.user_generators().values())
-    class_of, n_classes = kernels.orbits(moves, g.order)
-    sizes = np.bincount(class_of, minlength=n_classes).astype(np.int64)
-    order = g.lex_order()
-    reps = order[kernels.first_index(class_of[order], n_classes)]
-    return Partition(class_of, reps, sizes)
+    check_same_group(g, phi)
+    if phi._partition is None:
+        moves = twisted_moves(g, phi, g.user_generators().values())
+        class_of, n_classes = kernels.orbits(moves, g.order)
+        sizes = np.bincount(class_of, minlength=n_classes).astype(np.int64)
+        order = g.lex_order()
+        reps = order[kernels.first_index(class_of[order], n_classes)]
+        class_of.flags.writeable = reps.flags.writeable = sizes.flags.writeable = False
+        phi._partition = Partition(class_of, reps, sizes)
+    return phi._partition

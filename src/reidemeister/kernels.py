@@ -100,9 +100,9 @@ def _sort_tagged(codes):
 
 def first_index(labels, n) -> np.ndarray:
     """For each label c in range(n), the least i with labels[i] == c, or
-    len(labels) where no label is c: one np.minimum.at pass."""
-    first = np.full(n, len(labels), dtype=np.intp)
-    np.minimum.at(first, labels, np.arange(len(labels)))
+    len(labels) where no label is c: one np.minimum.at pass, int32 as ids are."""
+    first = np.full(n, len(labels), dtype=np.int32)
+    np.minimum.at(first, labels, np.arange(len(labels), dtype=np.int32))
     return first
 
 
@@ -280,16 +280,18 @@ def orbits(moves, n):
     the orbits numbered in the order of their least element.
 
     Min-label propagation with root hooking and pointer jumping
-    (Shiloach-Vishkin 1982): for each move t, the roots label[x] and
-    label[t[x]] of every x and its image take the least of the two; then
-    label = label[label] runs to a fixed point, which lowers x to its root's
-    label, and the rounds stop when the labels do.  Hooking the image's
-    root turns a cycle whose ids rise along the move into a chain that
-    pointer jumping collapses in one round.  A label always names an
-    element of the same orbit that is no larger, so at the fixed point
-    every element is labelled with its orbit's least element (a
-    permutation's cycle reaches back to its start, so forward moves alone
-    connect an orbit).
+    (Shiloach-Vishkin 1982).  A round hooks, for each move t and every x,
+    the entries at label[x] and label[t[x]] down to the lesser of the two
+    (so a cycle whose ids rise along t becomes a chain), then jumps label =
+    label[label] exactly twice and compares with its starting labels.
+
+    Termination: a label names an element of the same orbit, no larger, so
+    hooking and jumping only lower labels; a round that lowers none changed
+    nothing at any step.  Then the labels are stars (label[label[x]] ==
+    label[x]) and no move joins two labels (label[x] == label[t[x]]), so
+    each orbit carries one label: an element of the orbit no larger than
+    its least id, hence that id (a permutation's cycle reaches back to its
+    start, so forward moves alone connect an orbit).
     """
     label = np.arange(n, dtype=np.int32)
     while True:
@@ -298,11 +300,8 @@ def orbits(moves, n):
             image = label[t]
             np.minimum.at(new, label, image)
             np.minimum.at(new, image, label)
-        while True:
-            jumped = new[new]
-            if np.array_equal(jumped, new):
-                break
-            new = jumped
+        new = new[new]
+        new = new[new]
         if np.array_equal(new, label):
             break
         label = new

@@ -124,6 +124,17 @@ class TestCharacter:
         with pytest.raises(Exception):
             rm.Character.from_generator_values(dihedral8, [1, 2])
 
+    def test_non_integer_values_rejected_not_truncated(self, dihedral8, dihedral8_chi):
+        # int() would truncate these to the S_3 sign character [-1, -1] and
+        # the trivial one [1, 1] of Sp(2, Z_6)
+        g = rm.generate_group(rm.standard_generators(1, 6))
+        for gen_values in ([-1.7, -1.2], [1.9, 1.2]):
+            with pytest.raises(StructuralError, match="character values must be"):
+                rm.Character.from_generator_values(g, gen_values)
+        assert not rm.Character.from_generator_values(g, [-1, -1]).is_trivial
+        chi = rm.Character.from_generator_values(dihedral8, {0: 1, 1: -1})
+        assert np.array_equal(chi.values, dihedral8_chi.values)
+
     @pytest.mark.parametrize("gen_values", [[-1], {0: -1}])
     def test_missing_value_rejected(self, gen_values):
         g = rm.generate_group(rm.standard_generators(1, 6))

@@ -253,6 +253,46 @@ class TestGatheredTables:
         assert np.array_equal(rm.sign_flip(sp2_7).perm, entrywise)
 
 
+class TestSharedPartition:
+    """twisted_classes computes each automorphism's partition once and
+    shares it, read-only, with every later call."""
+
+    def test_second_call_returns_the_same_partition(self, monkeypatch, sp2_7):
+        calls = []
+        real = kernels.orbits
+        monkeypatch.setattr(kernels, "orbits", lambda *args: calls.append(1) or real(*args))
+        phi = rm.sign_flip(sp2_7)
+        first = rm.twisted_classes(sp2_7, phi)
+        assert rm.twisted_classes(sp2_7, phi) is first
+        assert len(calls) == 1
+
+    def test_arrays_and_perm_are_read_only(self, sp2_5):
+        phi = rm.sign_flip(sp2_5)
+        part = rm.twisted_classes(sp2_5, phi)
+        for a in (part.class_of, part.representatives, part.class_sizes, phi.perm):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_other_group_raises_after_caching(self, sp2_5, sp2_7):
+        phi = rm.sign_flip(sp2_5)
+        rm.twisted_classes(sp2_5, phi)
+        with pytest.raises(StructuralError):
+            rm.twisted_classes(sp2_7, phi)
+
+    def test_derived_maps_get_their_own_partitions(self, sp2_5, dihedral8, dihedral8_chi):
+        phi = rm.sign_flip(sp2_5)
+        base = rm.inner(dihedral8, dihedral8.element(1))
+        for g, parent, derived in (
+                (sp2_5, phi, rm.compose(rm.inner(sp2_5, sp2_5.element(5)), phi)),
+                (dihedral8, base, rm.character_twist(dihedral8_chi, base))):
+            own = rm.twisted_classes(g, parent)
+            part = rm.twisted_classes(g, derived)
+            assert part is not own
+            labels, count = brute_force_twisted_partition(g, derived)
+            assert (part.class_of.tolist(), part.n_classes) == (labels, count)
+            assert rm.twisted_classes(g, parent) is own
+
+
 class TestRestrictTo:
     """Class labels of chosen element ids, read from Partition.class_of."""
 

@@ -465,20 +465,41 @@ class _CountingMoves(list):
         return super().__iter__()
 
 
+def _cycle_move(n, n_cycles, rnd, falling=False):
+    """A permutation of range(n): the ids are dealt into n_cycles sets, and
+    each set, in ascending order, is one cycle whose ids rise along the move
+    (or fall, with falling)."""
+    colour = [rnd.randrange(n_cycles) for _ in range(n)]
+    move = np.arange(n)
+    for c in range(n_cycles):
+        ids = [x for x in range(n) if colour[x] == c]
+        move[ids] = np.roll(ids, 1 if falling else -1)
+    return move
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 4096), st.integers(1, 4), st.randoms(use_true_random=False))
 # one rising 4096-cycle: without root hooking this takes one round per element
 @example(4096, 1, random.Random(0))
 def test_orbit_rounds_on_rising_cycles(n, n_cycles, rnd):
-    # the ids are dealt into n_cycles sets, and each set, in ascending order,
-    # is one cycle of the move: every cycle rises along the move
-    colour = [rnd.randrange(n_cycles) for _ in range(n)]
-    move = np.arange(n)
-    for c in range(n_cycles):
-        ids = [x for x in range(n) if colour[x] == c]
-        move[ids] = np.roll(ids, -1)
-    moves = _CountingMoves([move])
-    labels, count = kernels.orbits(moves, n)
+    # every cycle of move rises along it, and every cycle of its inverse falls
+    move = _cycle_move(n, n_cycles, rnd)
     want, want_count = union_find_labels(n, [(x, int(move[x])) for x in range(n)])
+    for t in (move, np.argsort(move)):
+        moves = _CountingMoves([t])
+        labels, count = kernels.orbits(moves, n)
+        assert (labels.tolist(), count) == (want, want_count)
+        assert moves.rounds <= 3 + int(np.log2(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 512), st.lists(st.tuples(st.integers(1, 4), st.booleans()),
+                                     min_size=2, max_size=4),
+       st.randoms(use_true_random=False))
+def test_orbits_of_rising_and_falling_moves(n, shapes, rnd):
+    # 2-4 moves, each with cycles that all rise or all fall along it
+    moves = [_cycle_move(n, n_cycles, rnd, falling) for n_cycles, falling in shapes]
+    labels, count = kernels.orbits(moves, n)
+    want, want_count = union_find_labels(
+        n, [(x, int(t[x])) for t in moves for x in range(n)])
     assert (labels.tolist(), count) == (want, want_count)
-    assert moves.rounds <= 3 + int(np.log2(n))
