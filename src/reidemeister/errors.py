@@ -33,12 +33,13 @@ class IntegrityError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """Group closure exceeded the element cap; reports progress so far."""
+    """Group closure exceeded the element cap; found is progress so far, or None if uncounted."""
 
     def __init__(self, cap, found):
         self.cap = cap
         self.found = found
-        super().__init__(f"closure exceeded cap of {cap} elements ({_count(found)} found)")
+        shown = "too many to count" if found is None else f"{_count(found)} found"
+        super().__init__(f"closure exceeded cap of {cap} elements ({shown})")
 
 
 def _count(k: int) -> str:

@@ -204,9 +204,13 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
 
 def sp_group(n: int, m: int, cap: int) -> FiniteGroup:
     """Sp(2n, Z_m), enumerated from its standard generators; raises
-    CapacityError before building them if |Sp(2n, Z_m)| exceeds cap."""
+    CapacityError before building them if |Sp(2n, Z_m)| exceeds cap.  It is
+    at least 2**(n*n), and is not counted where that passes cap and its upper
+    bound m**(n(2n + 1)) has 2**16 bits or more (sp_order multiplies n big factors)."""
     if n >= 1 and m >= 2:  # else standard_generators rejects n or m first
         check_int64(2 * n, m)  # a modulus past int64 before the cap
+        if n * n >= cap.bit_length() and n * (2 * n + 1) * m.bit_length() >= 1 << 16:
+            raise CapacityError(cap, None)
         if (order := sp_order(n, m)) > cap:
             raise CapacityError(cap, order)
     return generate_group(standard_generators(n, m), cap=cap)

@@ -11,7 +11,7 @@ action table) once and compares them with the keys whole, and finds any
 other stack by np.searchsorted.  Where a code reaches 2**63, digits are
 packed into big-endian uint64 words, each row's words one np.void key that
 sorts, searches and compares the same way.  _sort_tagged sorts them all,
-one value sort of code * n + position where that fits uint64.
+one value sort of code << b | position where that fits uint64.
 
 Elements are stored at entry_dtype(m) (one byte per entry for m <= 256),
 ids and parents as int32, and every matmul is modring.matmul_mod, in the
@@ -76,25 +76,31 @@ class Index:
     ids: np.ndarray
 
 
+def _tag_bits(n, top):
+    """b = (n - 1).bit_length() if code << b | position fits uint64 for codes <= top, else None."""
+    return (n - 1).bit_length() if top < 1 << (64 - (n - 1).bit_length()) else None
+
+
 def _sort_tagged(codes):
     """(sorted, tags): the codes in ascending order, equal codes by position,
     and tags[j] the position of sorted[j], as np.argsort(codes, kind="stable")
     orders them.  Non-negative int64 codes are packed into uint64 as
-    code * n + position where (max + 1) * n <= 2**64 and sorted by value, in
-    place: codes is overwritten and returned sorted, and tags are int32 up to
-    ID_LIMIT codes.  np.void codes and larger ones take the stable argsort."""
+    code << b | position, b from _tag_bits, sorted by value in place and
+    unpacked by a mask and a shift: codes is overwritten and returned sorted,
+    and tags are int32 up to ID_LIMIT codes.  np.void codes and larger ones
+    take the stable argsort."""
     n = len(codes)
-    if codes.dtype != np.int64 or not n or (int(codes.max()) + 1) * n > 2**64:
+    if codes.dtype != np.int64 or not n or (b := _tag_bits(n, int(codes.max()))) is None:
         tags = np.argsort(codes, kind="stable")
         return codes[tags], tags
     small = n <= ID_LIMIT
     packed = codes.view(np.uint64)
-    packed *= n
-    packed += np.arange(n, dtype=np.uint32 if small else np.uint64)
+    packed <<= b
+    packed |= np.arange(n, dtype=np.uint32 if small else np.uint64)
     packed.sort()
     tags = np.empty(n, dtype=np.int32 if small else np.int64)
-    np.remainder(packed, n, out=tags, casting="unsafe")
-    packed //= n
+    np.bitwise_and(packed, (1 << b) - 1, out=tags, casting="unsafe")
+    packed >>= b
     return codes, tags
 
 
@@ -173,9 +179,12 @@ def closure(gens, m, cap):
     old element, first, and the run's head is either that element or the
     product of least scan position, which a sequential BFS would give the
     next id and take as the new element's parent.  Every old element heads
-    its run, so marking the heads' tags and counting the marks (a cumsum)
-    numbers the old elements by id and the new ones in BFS order.  The ids
-    are int32, so the closure stops at ID_LIMIT elements whatever the cap.
+    its run and keeps its id; the other heads' tags, sorted, are the new
+    elements in BFS order, numbered on from count.  A cumsum of the run heads
+    numbers each sorted position's run, and one gather and one scatter by the
+    tags give every pool position its run's id: the products' ids are the
+    level's rows of right.  The ids are int32, so the closure stops at
+    ID_LIMIT elements whatever the cap.
     """
     k, d, _ = gens.shape
     store, gen_dtype = np.dtype(entry_dtype(m)), np.min_scalar_type(-k)
@@ -213,25 +222,28 @@ def closure(gens, m, cap):
             del products
         codes, tags = _sort_tagged(pool)
         del pool
-        start = np.flatnonzero(np.append(True, codes[1:] != codes[:-1]))  # runs of equal codes
+        head = np.ones(len(codes), dtype=bool)  # the first position of each run of equal codes
+        head[1:] = codes[1:] != codes[:-1]
+        start = np.flatnonzero(head)
         lead = tags[start]  # each run's old element or least scan position
         if count + len(start) - n_old > cap:
             raise CapacityError(cap, max(count, cap))
-        fresh = lead >= n_old
-        fresh_codes = codes[start[fresh]]
-        del codes
-        marks = np.zeros(len(tags), dtype=bool)
-        marks[lead] = True
-        run_ids = np.cumsum(marks, dtype=np.int32)[lead] + (count - n_old - 1)
-        prev, cur = cur, np.empty(len(fresh_codes), dtype=fresh_codes.dtype)
-        cur[run_ids[fresh] - count] = fresh_codes  # the new elements' codes, in id order
-        del fresh, fresh_codes
-        x, c = np.divmod(np.flatnonzero(marks[n_old:]), k)  # new elements, in BFS order
-        del marks
-        ids = np.empty(len(tags), dtype=np.int32)
-        ids[tags] = np.repeat(run_ids, np.diff(start, append=len(tags)))
+        new = np.flatnonzero(lead >= n_old)  # the runs of new elements, by code
+        fresh_codes = codes[start[new]]
+        del codes, start
+        scan = np.sort(lead[new])  # the new elements' pool positions, in BFS order
+        ids = np.empty(len(tags), dtype=np.int32)  # the ids of the old elements and new leads
+        ids[:n_old] = np.arange(count - n_old, count, dtype=np.int32)
+        ids[scan] = np.arange(count, count + len(scan), dtype=np.int32)
+        run_ids = ids[lead]
+        prev, cur = cur, np.empty_like(fresh_codes)
+        cur[run_ids[new] - count] = fresh_codes  # the new elements' codes, in id order
+        del lead, new, fresh_codes
+        head[0] = False  # so the cumsum numbers each sorted position's run from 0
+        ids[tags] = run_ids[np.cumsum(head, dtype=np.int32, out=ids)]  # each pool position's id
         right.append(ids[n_old:].reshape(-1, k).copy())
-        del tags, start, lead, run_ids, ids  # before the next level allocates
+        x, c = np.divmod(scan - n_old, k)  # new elements, in BFS order
+        del head, tags, run_ids, ids, scan  # before the next level allocates
         if table is None:
             frontier = matmul_mod(m, frontier[x], gens[c]).astype(store)
         else:

@@ -58,6 +58,18 @@ class TestOrder:
         assert err == ("error: capacity: closure exceeded cap of 10000000 elements "
                        f"({shown} found)\n")
 
+    def test_small_n_reports_unchanged(self, capsys):
+        # below the uncounted bound the over-cap message keeps its exact count
+        # and a within-cap group its report
+        code, out, err = run(capsys, "order", "--n", "3", "--modulus", "3")
+        assert (code, out) == (3, "")
+        assert err == ("error: capacity: closure exceeded cap of 10000000 elements "
+                       "(9170703360 found)\n")
+        code, out, _ = run(capsys, "order", "--n", "2", "--modulus", "3", "--no-header")
+        assert code == 0
+        assert json.loads(out) == {"format": 1, "command": "order", "n": 2, "modulus": 3,
+                                   "group_order": 51840, "order_formula": 51840}
+
 
 class TestClasses:
     def test_csv_sizes_sum(self, capsys):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 
 import reidemeister as rm
 from reidemeister import kernels
-from reidemeister.group import twisted_moves
+from reidemeister.group import DEFAULT_CAP, sp_group, twisted_moves
 from reidemeister.errors import (CapacityError, IntegrityError, SingularMatrixError,
                                  StructuralError)
 
 from conftest import (brute_force_twisted_partition, mul_ids, small_groups_with_automorphism,
-                      torus, verify_closure)
+                      torus, verify_closure, within_one_second)
 
 
 class TestGenerateGroup:
@@ -42,6 +42,34 @@ class TestGenerateGroup:
         with pytest.raises(CapacityError) as e:
             rm.generate_group(rm.standard_generators(1, 7), cap=10)
         assert e.value.found == 10
+
+    @pytest.mark.parametrize("m,bad", [(13, [7]), (29, [9000, 5000])],
+                             ids=["one-chunk", "later-chunks"])
+    def test_symplectic_check_names_first_bad_element(self, monkeypatch, m, bad):
+        # the per-element check stays live: a closure that returns a
+        # non-symplectic element (row 0 doubled) is refused, naming the least
+        # bad id, also past the first CHUNK of 4,096 (|Sp(2, Z_29)| = 24,360)
+        real = kernels.closure
+
+        def corrupt(*args):
+            elements, *rest = real(*args)
+            for i in bad:
+                elements[i, 0] = elements[i, 0] * 2 % m
+            return (elements, *rest)
+
+        monkeypatch.setattr(kernels, "closure", corrupt)
+        with pytest.raises(IntegrityError,
+                           match=f"element {min(bad)} violates the symplectic condition"):
+            rm.generate_group(rm.standard_generators(1, m))
+
+    def test_huge_sp_group_refused_uncounted(self):
+        # |Sp(6000, Z_3)| >= 2**(3000**2): the cap rejects it before sp_order,
+        # whose big products would not finish, and names no count
+        with within_one_second("sp_group(3000, 3)"):
+            with pytest.raises(CapacityError) as e:
+                sp_group(3000, 3, DEFAULT_CAP)
+        assert e.value.found is None
+        assert str(e.value) == "closure exceeded cap of 10000000 elements (too many to count)"
 
     def test_singular_generator(self):
         with pytest.raises(SingularMatrixError):

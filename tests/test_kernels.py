@@ -370,6 +370,44 @@ def test_sort_tagged_on_both_sides_of_the_packing_bound(top, packed):
     assert (tags.dtype == np.int32) == packed
 
 
+@pytest.mark.parametrize("top,packed", [
+    (2**61 - 1, True),  # positions 0..4 take 3 bits: code << 3 | position fits uint64
+    (2**61, False),  # one above: the stable argsort, though code * 5 + position would fit
+], ids=["at-the-bound", "one-above"])
+def test_sort_tagged_on_both_sides_of_the_shift_bound(top, packed):
+    tags = _assert_sorts_as_stable_argsort(np.array([top, 0, top, 1, 2], dtype=np.int64))
+    assert (tags.dtype == np.int32) == packed
+
+
+def test_sp2_127_sorts_stay_packed(monkeypatch):
+    # every closure level, build_index and a |G|-row action table of
+    # Sp(2, Z_127) take the packed sort (int32 tags), not the argsort
+    real, tag_dtypes = kernels._sort_tagged, []
+
+    def record(codes):
+        out = real(codes)
+        tag_dtypes.append((len(codes), out[1].dtype))
+        return out
+
+    monkeypatch.setattr(kernels, "_sort_tagged", record)
+    g = rm.generate_group(rm.standard_generators(1, 127))
+    g.action_table(g.elements[g.generators[0]], g.elements[g.generators[1]])
+    assert len(tag_dtypes) == len(g.levels) - 1 + 2  # the levels, build_index, the table
+    assert [n for n, _ in tag_dtypes[-2:]] == [g.order, g.order] == [2_048_256] * 2
+    assert all(dt == np.int32 for _, dt in tag_dtypes)
+
+
+@pytest.mark.parametrize("n,bits", [
+    (64_790_264, 26),  # the widest closure level of Sp(4, Z_5), measured
+    (9_360_000, 24),  # its build_index and every |G|-row action table
+])
+def test_sp4_5_codes_stay_packed(n, bits):
+    # codes of 4 x 4 matrices over Z_5 are below 5**16 < 2**38, so up to
+    # 2**26 positions pack; one more position bit would not
+    assert kernels._tag_bits(n, 5**16 - 1) == bits
+    assert kernels._tag_bits(2**26 + 1, 5**16 - 1) is None
+
+
 def test_sort_tagged_breaks_ties_by_position():
     codes = np.random.default_rng(0).integers(0, 10, 1000)
     assert _assert_sorts_as_stable_argsort(codes).dtype == np.int32

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from reidemeister.errors import SingularMatrixError, StructuralError
-from reidemeister.modring import _is_prime, entry_dtype, matmul_mod, product_dtype
+from reidemeister.modring import (_is_prime, check_int64, entry_dtype, matmul_mod,
+                                  product_dtype, symplectic_form)
 
 from conftest import from_canonical_key, torus, within_one_second
 
@@ -119,7 +121,82 @@ class TestDet:
                 assert rm.det(a @ b) == rm.det(a) * rm.det(b) % m
 
 
+def _largest_modulus(d):
+    """The largest m that check_int64 accepts in dimension d: d (m - 1)^2 < 2^63."""
+    return math.isqrt((2**63 - 1) // d) + 1
+
+
+def _preserves_form(a, m):
+    """a^T J a = J mod m for a list-of-lists matrix, entry by entry in Python ints."""
+    d = len(a)
+    J = symplectic_form(d // 2).tolist()
+    return all((sum(a[p][l] * J[p][q] * a[q][j] for p in range(d) for q in range(d))
+                - J[l][j]) % m == 0 for l in range(d) for j in range(d))
+
+
+def _int_product(a, b, m):
+    return [[sum(x * y for x, y in zip(row, col)) % m for col in zip(*b)] for row in a]
+
+
+@st.composite
+def symplectic_stacks(draw):
+    """(m, d, mats): d in {2, 4, 6}, m prime, composite or the largest modulus
+    check_int64 accepts, and mats a list of d x d Python-int matrices over Z_m:
+    members (products of transvections x -> x + w(x, v) v, built in Python
+    ints) and others (random matrices, members with one entry moved)."""
+    d = draw(st.sampled_from([2, 4, 6]))
+    m = draw(st.sampled_from([2, 3, 97, 1009, 4, 12, 100, _largest_modulus(d)]))
+    J = symplectic_form(d // 2).tolist()
+    vector = st.lists(st.integers(0, m - 1), min_size=d, max_size=d)
+
+    def transvection(v):
+        jv = [sum(J[i][t] * v[t] for t in range(d)) for i in range(d)]
+        return [[(int(i == j) + v[i] * jv[j]) % m for j in range(d)] for i in range(d)]
+
+    def member():
+        a = [[int(i == j) for j in range(d)] for i in range(d)]
+        for v in draw(st.lists(vector, min_size=1, max_size=3)):
+            a = _int_product(a, transvection(v), m)
+        return a
+
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["member", "random", "moved"]),
+                              min_size=1, max_size=6)):
+        if kind == "random":
+            mats.append([draw(vector) for _ in range(d)])
+        else:
+            a = member()
+            if kind == "moved":
+                i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+                a[i][j] = (a[i][j] + draw(st.integers(1, m - 1))) % m if m > 2 else 1 - a[i][j]
+            else:
+                assert _preserves_form(a, m)
+            mats.append(a)
+    return m, d, mats
+
+
 class TestSymplectic:
+    def test_largest_modulus_is_the_bound(self):
+        for d in (2, 4, 6):
+            m = _largest_modulus(d)
+            check_int64(d, m)
+            with pytest.raises(StructuralError, match="too large"):
+                check_int64(d, m + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symplectic_stacks(), st.booleans(), st.booleans())
+    def test_matches_the_definition(self, case, narrow, batched):
+        # the column-pair test against a^T J a = J in exact integers, on int64
+        # and on entry_dtype(m) stacks (as the closure stores its elements),
+        # with one or two leading batch dimensions
+        m, d, mats = case
+        stack = np.array(mats, dtype=entry_dtype(m) if narrow else np.int64)
+        if batched and len(mats) % 2 == 0:
+            stack = stack.reshape(2, -1, d, d)
+        got = rm.is_symplectic(stack, m)
+        assert got.shape == stack.shape[:-2]
+        assert got.ravel().tolist() == [_preserves_form(a, m) for a in mats]
+
     def test_identity(self):
         assert rm.is_symplectic(rm.ModMatrix.identity(4, 5).entries, 5)
 
