@@ -93,12 +93,11 @@ def _sort_tagged(codes):
     if codes.dtype != np.int64 or not n or (b := _tag_bits(n, int(codes.max()))) is None:
         tags = np.argsort(codes, kind="stable")
         return codes[tags], tags
-    small = n <= ID_LIMIT
+    tags = np.arange(n, dtype=np.int32 if n <= ID_LIMIT else np.int64)  # unpacked in place
     packed = codes.view(np.uint64)
     packed <<= b
-    packed |= np.arange(n, dtype=np.uint32 if small else np.uint64)
+    np.bitwise_or(packed, tags, out=packed, dtype=np.uint64, casting="unsafe")
     packed.sort()
-    tags = np.empty(n, dtype=np.int32 if small else np.int64)
     np.bitwise_and(packed, (1 << b) - 1, out=tags, casting="unsafe")
     packed >>= b
     return codes, tags
@@ -215,8 +214,8 @@ def closure(gens, m, cap):
                 for lo in range(0, len(frontier), CHUNK)], out=pool[n_old:])
         else:
             products = pool[n_old:].reshape(len(frontier), k)
-            products[...] = 0
-            for i in range(d):  # Horner's rule over the products' row codes
+            products[...] = table.T[frontier[:, 0]]
+            for i in range(1, d):  # Horner's rule over the products' row codes
                 products *= m**d
                 products += table.T[frontier[:, i]]
             del products
