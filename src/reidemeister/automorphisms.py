@@ -256,7 +256,9 @@ def load_character_file(g: FiniteGroup, path: str) -> Character:
         val = val.strip()
         if val not in ("+1", "-1", "1"):
             raise PreconditionError(f"{path}:{lineno}: value must be +1 or -1")
-        table[key_hex.strip().lower()] = 1 if val in ("+1", "1") else -1
+        key, value = key_hex.strip().lower(), 1 if val in ("+1", "1") else -1
+        if table.setdefault(key, value) != value:
+            raise PreconditionError(f"{path}:{lineno}: {key} was given both +1 and -1")
     gen_values = {}
     for src, s in g.user_generators().items():
         key_hex = canonical_key(g.element(s)).hex()

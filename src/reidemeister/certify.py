@@ -12,7 +12,7 @@ approximate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,19 +35,12 @@ class Certificate:
 
     claim_id: str
     paper_anchor: str
-    inputs: dict = field(default_factory=dict)
-    computed: dict = field(default_factory=dict)
-    verdict: str = INCONCLUSIVE
+    inputs: dict
+    computed: dict
+    verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "format": 1,
-            "claim_id": self.claim_id,
-            "paper_anchor": self.paper_anchor,
-            "inputs": self.inputs,
-            "computed": self.computed,
-            "verdict": self.verdict,
-        }
+        return {"format": 1, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -92,13 +85,12 @@ def coset_moves(g: FiniteGroup, phi: Automorphism, k: int) -> list[np.ndarray]:
     return moves
 
 
-def semidirect_oracle(g: FiniteGroup, phi: Automorphism, cap=DEFAULT_CAP) -> Certificate:
+def semidirect_oracle(g: FiniteGroup, phi: Automorphism) -> Certificate:
     """Twisted class count of phi versus ordinary conjugacy in the coset G.t
-    of G x|_phi Z_m, t = (1, 1); the two are computed by disjoint code paths."""
+    of G x|_phi Z_m, t = (1, 1); the two are computed by disjoint code paths.
+    Its tables have |G| rows: the cap that bounded g's closure bounds them."""
     check_same_group(g, phi)
     m = phi.order()
-    if g.order * m > cap:
-        raise CapacityError(cap, g.order * m)
     _, coset_classes = kernels.orbits(coset_moves(g, phi, 1), g.order)
     twisted = twisted_classes(g, phi).n_classes
     return Certificate(
@@ -330,6 +322,8 @@ def growth_scan(primes, n=1, cap=DEFAULT_CAP) -> Certificate:
     primes = [int(p) for p in primes]
     if not primes:
         raise PreconditionError("growth scan needs at least one prime")
+    if n < 1:  # before the primes: with no dimension, int64 would not bound them
+        raise PreconditionError(f"half-dimension must be >= 1, got {n}")
     if primes != sorted(primes) or len(set(primes)) != len(primes):
         raise PreconditionError("primes must be strictly ascending")
     for p in primes:
@@ -348,13 +342,11 @@ def growth_scan(primes, n=1, cap=DEFAULT_CAP) -> Certificate:
     bound_ok = all(r["reidemeister_count"] >= r["bound"] for r in rows)
     counts = [r["reidemeister_count"] for r in rows]
     monotone = all(a < b for a, b in zip(counts, counts[1:]))
-    if capacity_hit is not None:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS if bound_ok and monotone else FAIL
     computed = {"rows": rows, "bound_ok": bound_ok, "strictly_increasing": monotone}
+    verdict = PASS if bound_ok and monotone else FAIL
     if capacity_hit is not None:
         computed["capacity_exceeded_at"] = capacity_hit
+        verdict = INCONCLUSIVE
     return Certificate(
         claim_id="lemma2.2-growth-evidence",
         paper_anchor="Lemma 2.2; Proposition 3.2",
@@ -364,7 +356,7 @@ def growth_scan(primes, n=1, cap=DEFAULT_CAP) -> Certificate:
     )
 
 
-def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
+def thm33_block_certificate(p: int = 3, n: int = 2, w: int = 2,
                             cap=DEFAULT_CAP) -> Certificate:
     """Exhaustive block-structure filter for the torus reduction over Sp(2n, Z_p).
 
@@ -373,15 +365,14 @@ def thm33_block_certificate(p: int = 3, n: int = 2, w: int | None = None,
     needed) and checks that its off-diagonal 2x2 blocks against rows and
     columns 3..2n vanish.
 
-    The block argument needs w^2 != 1 (mod p), so that w - w^-1 is a unit.
+    The block argument needs w^2 != 1 (mod p), so that w - w^-1 is a unit;
+    the default w = 2 is the least unit != 1 of an odd prime.
     p = 3 is the degenerate case: its only unit w != 1 is w = 2 = -1, and
     the filter there honestly finds off-block solutions (verdict fail).
     """
     if n < 2:
         raise PreconditionError("block analysis needs half-dimension n >= 2")
     _check_prime(p, 2 * n, 2)
-    if w is None:
-        w = 2  # the least unit != 1 of an odd prime
     if not 0 < w < p:
         raise PreconditionError(f"w = {w} is not a unit mod {p}")
     g = sp_group(n, p, cap)  # checks the cap before the loop over the units

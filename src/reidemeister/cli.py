@@ -1,5 +1,6 @@
 """Command-line interface: group construction, class enumeration, oracles
-and certification scans with reproducible JSON/CSV reports.
+and certification scans with reproducible reports: JSON from every command,
+CSV from the three whose report is a table, text from all but order.
 
 Exit status: 0 pass, 1 fail verdict, 2 usage/structural error, 3 capacity
 error, 4 internal error (any other exception, reported on one stderr line;
@@ -44,10 +45,13 @@ SP_COMMANDS = {
     "oracle-quotient": ("ring-quotient epimorphism check", "sign_flip"),
 }
 
+FORMATS = {"order": ["json"], "classes": ["json", "csv", "text"],
+           "twisted": ["json", "csv", "text"], "certify-growth": ["json", "csv", "text"]}
 
-def _add_common(p):
+
+def _add_common(p, formats):
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="element cap for closure")
-    p.add_argument("--output", choices=["json", "csv", "text"], default="json")
+    p.add_argument("--output", choices=formats, default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of oracle-shift's random thetas; others ignore it")
@@ -76,23 +80,21 @@ def build_parser():
                            help="number of seeded random thetas")
         if name == "oracle-quotient":
             p.add_argument("--target", type=int, required=True, help="target modulus m' | m")
-        _add_common(p)
 
     p = sub.add_parser("certify-prop32", help="lower bound and torus pairing certificate")
     p.add_argument("--p", type=int, required=True)
-    _add_common(p)
 
     p = sub.add_parser("certify-growth", help="growth scan over a prime list")
     p.add_argument("--primes", default="5,7,11,13", help="comma-separated ascending primes")
     p.add_argument("--n", type=int, default=1)
-    _add_common(p)
 
     p = sub.add_parser("blocks-thm33", help="torus-reduction block structure filter")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--modulus", dest="m", type=int, default=3)
-    p.add_argument("--w", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--w", type=int, default=2)
 
+    for name, p in sub.choices.items():
+        _add_common(p, FORMATS.get(name, ["json", "text"]))
     return ap
 
 
@@ -132,7 +134,7 @@ def _partition_report(args, g, part):
 
 def _certificate_report(args, cert):
     rows = cert.computed.get("rows", [])
-    if args.output == "csv" and cert.claim_id == "lemma2.2-growth-evidence":
+    if args.output == "csv":
         lines = ["p,group_order,reidemeister_count,bound"]
         lines += [f"{r['p']},{r['group_order']},{r['reidemeister_count']},{r['bound']}"
                   for r in rows]
@@ -150,7 +152,7 @@ def _certificate_report(args, cert):
 def _oracle(args, g, phi):
     """The certificate of the oracle command args.command on g and phi."""
     if args.command == "oracle-semidirect":
-        return certify.semidirect_oracle(g, phi, cap=args.cap)
+        return certify.semidirect_oracle(g, phi)
     if args.command == "oracle-burnside":
         return certify.burnside_oracle(g, phi)
     if args.command == "oracle-quotient":
@@ -203,11 +205,11 @@ def run(args) -> int:
         cert = _oracle(args, g, phi)
 
     _emit(args, _certificate_report(args, cert))
-    if cert.verdict == certify.PASS:
-        return EXIT_PASS
-    if cert.verdict == certify.FAIL:
-        return EXIT_FAIL
-    return EXIT_CAPACITY  # inconclusive certificates stem from capacity overruns
+    if cert.verdict == certify.INCONCLUSIVE:  # growth_scan met the cap at a prime
+        print(f"error: capacity: closure exceeded cap of {args.cap} elements at p = "
+              f"{cert.computed['capacity_exceeded_at']}", file=sys.stderr)
+        return EXIT_CAPACITY
+    return EXIT_PASS if cert.verdict == certify.PASS else EXIT_FAIL
 
 
 def main(argv=None) -> int:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from conftest import mul_ids, reference_character_values
-from reidemeister.automorphisms import (RANDOM_PAIR_SAMPLES, _from_generator_images,
-                                        load_character_file, parse_descriptor)
+from reidemeister.automorphisms import (RANDOM_PAIR_SAMPLES, _check_homomorphism,
+                                        _from_generator_images, load_character_file,
+                                        parse_descriptor)
 from reidemeister.errors import (IntegrityError, PreconditionError, StructuralError,
                                  UnsupportedTwistError)
 from reidemeister.group import random_pairs
@@ -72,6 +75,11 @@ class TestInner:
         with pytest.raises(IntegrityError):
             rm.inner(dihedral8, rm.ModMatrix([[1, 1], [0, 1]], 3))
 
+    @pytest.mark.parametrize("u", [rm.ModMatrix.identity(4, 5), rm.ModMatrix.identity(2, 7)])
+    def test_conjugator_of_another_shape_or_ring(self, sp2_5, u):
+        with pytest.raises(StructuralError, match="^conjugator has wrong dimension or modulus$"):
+            rm.inner(sp2_5, u)
+
     def test_order_vs_element_order(self, sp2_5):
         # u of element order 4 with central square: the induced permutation
         # has order 2, not 4
@@ -124,6 +132,15 @@ class TestCharacter:
         with pytest.raises(Exception):
             rm.Character.from_generator_values(dihedral8, [1, 2])
 
+    def test_validate_rejects_malformed_tables(self, dihedral8, dihedral8_chi):
+        outside = np.ones(dihedral8.order)
+        outside[3] = 0
+        for values, message in [(np.ones(dihedral8.order - 1), "table has wrong size"),
+                                (outside, "values outside {+1,-1}"),
+                                (-dihedral8_chi.values, "does not send identity to +1")]:
+            with pytest.raises(IntegrityError, match=re.escape(f"character {message}")):
+                rm.Character(dihedral8, values)
+
     def test_non_integer_values_rejected_not_truncated(self, dihedral8, dihedral8_chi):
         # int() would truncate these to the S_3 sign character [-1, -1] and
         # the trivial one [1, 1] of Sp(2, Z_6)
@@ -143,6 +160,32 @@ class TestCharacter:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("make, message", [
+        (lambda n: np.arange(n - 1), "image table has wrong size"),
+        (lambda n: np.append(np.arange(n - 1), n), "not a bijection of the element table"),
+        (lambda n: np.append(np.arange(n - 1), -1), "not a bijection of the element table"),
+        (lambda n: np.roll(np.arange(n), 1), "identity not fixed"),
+    ])
+    def test_malformed_tables_rejected(self, sp2_5, make, message):
+        with pytest.raises(IntegrityError, match=f"^bad: {message}$"):
+            rm.Automorphism(sp2_5, make(sp2_5.order), {"kind": "bad"})
+
+    def test_all_zero_table_fails_only_as_a_bijection(self, sp2_5):
+        # x -> identity is a homomorphism: only the bijectivity check refutes it
+        zero = np.zeros(sp2_5.order, dtype=np.int64)
+        _check_homomorphism(sp2_5, zero, sp2_5.times, sp2_5.products, "zero")
+        with pytest.raises(IntegrityError, match="^zero: not a bijection of the element table$"):
+            rm.Automorphism(sp2_5, zero, {"kind": "zero"})
+
+    def test_random_pair_check(self, monkeypatch, dihedral8, dihedral8_chi):
+        # every product reported as the identity: the Cayley edges, read from
+        # the table, pass, and the random pairs, multiplied by products, do not
+        monkeypatch.setattr(rm.FiniteGroup, "products",
+                            lambda g, a, b: np.zeros(len(a), dtype=np.int32))
+        with pytest.raises(IntegrityError,
+                           match=r"^character not multiplicative at pair \(\d+,\d+\)$"):
+            rm.Character(dihedral8, dihedral8_chi.values)
+
     def test_swap_rejected(self, sp2_5):
         # a bijection fixing the identity that swaps two other elements
         perm = np.arange(sp2_5.order)

@@ -6,10 +6,25 @@ import pytest
 
 import reidemeister as rm
 from conftest import (reference_coset_move, reference_refined_partition, semidirect_inv,
-                      semidirect_mult, torus)
+                      semidirect_mult, torus, within_one_second)
 from reidemeister import certify, cli
 from reidemeister.certify import FAIL, INCONCLUSIVE, PASS, _class_map, _refined_partition
 from reidemeister.errors import PreconditionError, StructuralError
+
+
+@pytest.fixture(scope="module")
+def sp2_3():
+    return rm.generate_group(rm.standard_generators(1, 3))
+
+
+@pytest.fixture(scope="module")
+def sp2_6():
+    return rm.generate_group(rm.standard_generators(1, 6))
+
+
+def _shears(m):
+    """<[[1, 1], [0, 1]]> over Z_m, cyclic of order m."""
+    return rm.generate_group([rm.ModMatrix([[1, 1], [0, 1]], m)])
 
 
 def _nontrivial_inner(g):
@@ -285,6 +300,32 @@ class TestQuotientEpi:
         with pytest.raises(StructuralError):
             rm.quotient_epi_check(sp2_5, sp2_7, rm.sign_flip(sp2_5))
 
+    def test_dimension_mismatch(self, sp2_6, sp4_2):
+        with pytest.raises(StructuralError,
+                           match="^dimension mismatch between group and quotient$"):
+            rm.quotient_epi_check(sp2_6, sp4_2, rm.sign_flip(sp2_6))
+
+    def test_reduction_outside_the_target(self, sp2_6):
+        with pytest.raises(StructuralError,
+                           match=r"^reduction of element \d+ is not in the target group$"):
+            rm.quotient_epi_check(sp2_6, _shears(3), rm.sign_flip(sp2_6))
+
+    def test_reduction_not_onto(self, sp2_3):
+        shears = _shears(6)
+        with pytest.raises(StructuralError,
+                           match="^reduction does not map onto the target group$"):
+            rm.quotient_epi_check(shears, sp2_3, rm.identity_automorphism(shears))
+
+    def test_twist_that_does_not_commute(self, sp2_6, sp2_3):
+        # Sp(2, Z_6) = SL(2, Z_2) x SL(2, Z_3), and the S_3 sign character
+        # reads the factor mod 2: its twist sends elements with one residue
+        # mod 3 to both x and -x mod 3
+        chi = rm.Character.from_generator_values(sp2_6, [-1, -1])
+        phi = rm.character_twist(chi, rm.identity_automorphism(sp2_6))
+        with pytest.raises(StructuralError,
+                           match="^automorphism does not commute with the reduction"):
+            rm.quotient_epi_check(sp2_6, sp2_3, phi)
+
 
 class TestProp32:
     @pytest.mark.parametrize("p,v1,r", [(5, 2, 9), (7, 0, 7), (13, 2, 17)])
@@ -366,6 +407,14 @@ class TestGrowthScan:
             rm.growth_scan([7, 5])
         with pytest.raises(PreconditionError):
             rm.growth_scan([6])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_half_dimension_checked_before_the_primes(self, n):
+        # with no dimension the int64 bound admits 2**61 - 1, whose trial
+        # division would run for hours
+        with within_one_second("growth_scan"), \
+                pytest.raises(PreconditionError, match=f"^half-dimension must be >= 1, got {n}$"):
+            rm.growth_scan([5, 2**61 - 1], n=n)
 
     def test_empty_prime_list_rejected(self):
         # an empty scan certifies nothing; it must not pass vacuously

@@ -146,6 +146,17 @@ class TestCharacterFile:
         assert code == 2
         assert "error" in err
 
+    def test_key_given_both_values_rejected(self, capsys, tmp_path):
+        # +1 lines twice, then -1 lines, for both generators of Sp(2, Z_6):
+        # a repeated line is harmless, but each value alone is a character,
+        # and the file must not pick the last
+        path = tmp_path / "char.txt"
+        path.write_text("".join(f"{k}={v}\n" for v in ("+1", "+1", "-1") for k in KEYS[6]))
+        code, out, err = run(capsys, "twisted", "--modulus", "6", "--aut", f"twist:{path}")
+        assert (code, out) == (2, "")
+        assert err == (f"error: PreconditionError: {path}:5: "
+                       f"{KEYS[6][0]} was given both +1 and -1\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "twisted", "--modulus", "5",
                            "--aut", "twist:/nonexistent/char.txt")
@@ -174,11 +185,53 @@ KEYS = {m: _generator_keys(m) for m in (4, 5, 6, 8, 9, 10, 12)}
 
 
 def _exit_status(argv):
-    """cli.main's exit status, with both output channels captured."""
+    """cli.main's exit status, argparse's included, with both output
+    channels captured."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv + ["--no-header"])
+        try:
+            code = main(argv + ["--no-header"])
+        except SystemExit as e:
+            code = e.code
     return code, err.getvalue()
+
+
+# Each subcommand's flags with small and boundary values.  --cap is always
+# given and small, so no draw enumerates more than 1,000 elements; the
+# required flags are always given, so most draws get past argparse.
+N = [1, 2, 3, 0, -1]
+MODULI = [5, 3, 2, 7, 6, 4, 1, 0, -1, 2**61 - 1, 10**30]
+AUTS = ["sign_flip", "identity", "", "frob", "inner:", "inner:x", "inner:1,2",
+        "inner:1,1,0,1", "inner:2,0,0,2", "twist:", "twist:/nonexistent/char.txt"]
+SP_FLAGS = {"--n": N, "--modulus": MODULI}
+GRAMMAR = {
+    "order": SP_FLAGS,
+    "classes": SP_FLAGS,
+    "twisted": {**SP_FLAGS, "--aut": AUTS},
+    "oracle-semidirect": {**SP_FLAGS, "--aut": AUTS},
+    "oracle-burnside": {**SP_FLAGS, "--aut": AUTS},
+    "oracle-shift": {**SP_FLAGS, "--aut": AUTS, "--trials": [1, 2, 0, -1]},
+    "oracle-quotient": {**SP_FLAGS, "--aut": AUTS, "--target": [5, 3, 2, 1, 0, -1, 2**61 - 1]},
+    "certify-prop32": {"--p": [5, 7, 3, 2, 4, 0, -1, 2**61 - 1]},
+    "certify-growth": {"--n": N, "--primes": ["5", "3,5,7", "7,5", "4", "", ",", "5,x", "-1,2",
+                                              f"5,{2**61 - 1}"]},
+    "blocks-thm33": {"--n": N, "--modulus": MODULI, "--w": [2, 3, 4, 1, 0, -1]},
+}
+COMMON = {"--cap": [400, 1000, 24, 2, 1, 0, -1], "--output": ["json", "text", "csv"],
+          "--seed": [0, 1, -1]}
+
+
+@st.composite
+def argv_from_the_grammar(draw):
+    """A subcommand with each of its optional flags present or not, each
+    flag's value drawn from its list, then maybe an unknown flag or a stray
+    word."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    for flag, values in {**GRAMMAR[command], **COMMON}.items():
+        if flag in ("--cap", "--modulus", "--target", "--p") or draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    return argv + draw(st.sampled_from([[]] * 5 + [["--bogus"], ["--frob", "1"], ["stray"]]))
 
 
 @st.composite
@@ -196,8 +249,8 @@ def character_file_bytes(draw, m):
 
 
 class TestRandomInput:
-    """Every --aut descriptor and every twist: file either works or exits
-    with a message: status 0, 1 or 2, never 4 and never a traceback."""
+    """Every argv, --aut descriptor and twist: file either works or exits
+    with a message, never with status 4 and never with a traceback."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(["", "inner:", "twist:", "sign_flip", "identity"]),
@@ -208,6 +261,19 @@ class TestRandomInput:
         code, err = _exit_status(["twisted", "--modulus", "5", f"--aut={prefix}{rest}"])
         assert code in (0, 1, 2), err
         assert code == 0 or err.startswith("error: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv_from_the_grammar())
+    @example(["oracle-semidirect", "--modulus=7", "--cap=300"])
+    @example(["certify-growth", "--primes=5,7", "--cap=200"])
+    @example(["certify-growth", "--n=0", f"--primes=5,{2**61 - 1}", "--cap=2"])
+    def test_argv_from_the_grammar(self, argv):
+        with within_one_second(" ".join(argv)):
+            code, err = _exit_status(argv)
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err and "internal error" not in err, err
+        if code == 3:  # one line that names the cap
+            assert err.startswith("error: capacity: ") and err.count("\n") == 1, err
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([4, 5]).flatmap(
@@ -270,12 +336,22 @@ class TestCertifyCommands:
         assert out.splitlines()[1] == "5,120,9,1"
 
     def test_growth_capacity_inconclusive(self, capsys):
-        code, out, _ = run(capsys, "certify-growth", "--primes", "5,7",
+        code, out, err = run(capsys, "certify-growth", "--primes", "5,7",
                            "--cap", "200", "--no-header")
         assert code == 3
         payload = json.loads(out)
         assert payload["verdict"] == "inconclusive"
         assert payload["computed"]["capacity_exceeded_at"] == 7
+        assert err == "error: capacity: closure exceeded cap of 200 elements at p = 7\n"
+
+    def test_growth_text_rows(self, capsys):
+        # R is 9 then 7: the bound holds, strict growth does not
+        code, out, _ = run(capsys, "certify-growth", "--primes", "5,7",
+                           "--output", "text", "--no-header")
+        assert code == 1
+        assert out == ("claim: lemma2.2-growth-evidence\nverdict: fail\nbound_ok: True\n"
+                       "strictly_increasing: False\n"
+                       "  p=5 order=120 R=9 bound=1\n  p=7 order=336 R=7 bound=2\n")
 
 
 class TestOracleCommands:
@@ -285,12 +361,18 @@ class TestOracleCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
-    def test_semidirect_cap_counts_the_semidirect_product(self, capsys):
-        # |Sp(2, Z_7)| = 336 fits the cap; |Sp(2, Z_7) x| Z_2| = 672 does not
+    def test_semidirect_cap_counts_the_group(self, capsys):
+        # the cap bounds the closure of Sp(2, Z_7), 336 elements; the oracle
+        # holds 336-row tables, whatever the order 672 of Sp(2, Z_7) x| Z_2
+        _, want, _ = run(capsys, "oracle-semidirect", "--modulus", "7", "--no-header")
         code, out, err = run(capsys, "oracle-semidirect", "--modulus", "7", "--cap", "400",
                              "--no-header")
+        assert (code, out, err) == (0, want, "")
+        assert json.loads(out)["computed"]["semidirect_order"] == 672
+        code, out, err = run(capsys, "oracle-semidirect", "--modulus", "7", "--cap", "300",
+                             "--no-header")
         assert (code, out) == (3, "")
-        assert err == "error: capacity: closure exceeded cap of 400 elements (672 found)\n"
+        assert err == "error: capacity: closure exceeded cap of 300 elements (336 found)\n"
 
     def test_burnside(self, capsys):
         code, out, _ = run(capsys, "oracle-burnside", "--modulus", "13", "--no-header")
@@ -486,6 +568,22 @@ class TestOutput:
         code, _, err = run(capsys, "order", "--modulus", "5",
                            "--out", "/nonexistent/dir/x.json")
         assert code == 2
+
+    def test_only_the_rendered_formats(self):
+        # csv where the report is a table; text on all but order
+        required = {"oracle-quotient": ["--modulus", "6", "--target", "3"],
+                    "certify-prop32": ["--p", "5"], "certify-growth": [], "blocks-thm33": []}
+        parser = cli.build_parser()
+        accepted = set()
+        for command in GRAMMAR:
+            for output in ("json", "csv", "text"):
+                argv = [command, *required.get(command, ["--modulus", "5"]), "--output", output]
+                with contextlib.suppress(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+                    parser.parse_args(argv)
+                    accepted.add((command, output))
+        assert len(accepted) == 22
+        assert {c for c, o in accepted if o == "csv"} == {"classes", "twisted", "certify-growth"}
+        assert {c for c, o in accepted if o == "text"} == set(GRAMMAR) - {"order"}
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
