@@ -179,7 +179,7 @@ def _refined_partition(g: FiniteGroup, phi: Automorphism, chi: Character):
     value.  They generate H, so the orbits are those of every element of H.
     """
     transversal = [int(np.flatnonzero(chi.values == v)[0]) for v in (1, -1)]
-    products = g.right[transversal].ravel()  # t s for every t and s
+    products = g.right[:, transversal].T.ravel()  # t s for every t and s
     schreier = set()
     for v, rep in zip((1, -1), transversal):
         ts = products[chi.values[products] == v]

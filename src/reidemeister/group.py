@@ -51,11 +51,10 @@ class FiniteGroup:
 
     Built through generate_group; immutable afterwards.  generators holds
     the ids of the inverse-augmented generating set actually used for BFS.
-    right is the closure's right Cayley table: right[x, c] is the id of
-    x times generator c.  Every group action below is a chain of gathers
-    from it; ids_of, products and action_table, one kernels.product_ids call
-    each, are the oracles' own path and the tests' reference: products by
-    binary search, action_table by one sort of its |G| product codes.
+    right is the closure's (k, |G|) right Cayley table: right[c, x] is the id
+    of x times generator c, and every group action below is a chain of
+    kernels.gather calls from its rows.  ids_of, products and action_table
+    (kernels.product_ids) are the oracles' own path and the tests' reference.
     """
 
     def __init__(self, elements, parents, parent_gens, index, right, levels, gen_source, m,
@@ -64,13 +63,13 @@ class FiniteGroup:
         self.parents = parents  # int32
         self.parent_gens = parent_gens  # the narrowest signed dtype holding k
         self._index = index  # kernels.Index: the elements' sorted radix codes
-        self.right = right  # (G, k) int32
+        self.right = right  # (k, G) int32, C-contiguous
         self.levels = levels  # BFS level L holds ids levels[L] <= x < levels[L + 1]
         self.gen_source = gen_source  # aug index -> index into the user's list
         self.m = m
         self.symplectic = symplectic
         self.identity = 0
-        self.generators = right[0].tolist()
+        self.generators = right[:, 0].tolist()
 
     @property
     def order(self) -> int:
@@ -141,7 +140,7 @@ class FiniteGroup:
     def times(self, tab: np.ndarray, w: int) -> np.ndarray:
         """ids of x w for every id x in tab: one gather per letter of w's word."""
         for c in self.word(w):
-            tab = self.right[tab, c]
+            tab = kernels.gather(self.right[c], tab)
         return tab
 
     def extend(self, images, start: int = 0) -> np.ndarray:
@@ -154,16 +153,16 @@ class FiniteGroup:
         candidate for the homomorphism phi; only an edge check proves it one.
         """
         words = [self.word(int(a)) for a in images]
-        # letters[c] is the word of images[c], padded with -1
-        letters = np.full((len(words), max(map(len, words))), -1)
+        # rows[c, j]: right.ravel() offset of letter j of images[c]'s word; -1, dropped, past it
+        rows = np.full((len(words), max(map(len, words))), -1, dtype=np.int64)
         for c, word in enumerate(words):
-            letters[c, :len(word)] = word
+            rows[c, :len(word)] = np.multiply(word, self.order)
         tab = np.empty(self.order, dtype=np.int32)
         tab[0] = start
         for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
-            level = tab[self.parents[lo:hi]]
-            for col in letters[self.parent_gens[lo:hi]].T:
-                level = np.where(col < 0, level, self.right[level, col])
+            level = kernels.gather(tab, self.parents[lo:hi])
+            for row in rows[self.parent_gens[lo:hi]].T:
+                level = np.where(row < 0, level, kernels.gather(self.right.ravel(), row + level))
             tab[lo:hi] = level
         return tab
 

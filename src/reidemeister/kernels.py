@@ -1,6 +1,6 @@
 """Hot kernels: breadth-first closure under generators, the element index and
-right Cayley table it builds, chunked products looked up in the index, and
-orbits of permutation moves.
+the (k, |G|) right Cayley table it builds, chunked products looked up in the
+index, gather(): the one gather of a table by ids, and permutation orbits.
 
 The element index keys each matrix by its radix code: the row-major
 entries as the digits of one number, most significant first, so codes
@@ -30,6 +30,7 @@ from .modring import entry_dtype, matmul_mod
 CHUNK = 1 << 12  # rows per batched matmul and needles per search; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
 ROW_CODES = 1 << 16  # row codes a uint16 row table holds (closure's table bound)
+GATHER_BLOCK = 1 << 14  # indices per np.take in gather(); take copies them to intp
 
 
 def _codes(flat, m) -> np.ndarray:
@@ -152,10 +153,10 @@ def closure(gens, m, cap):
     Returns (elements, parents, parent_gens, index, right, levels) where
     elements[i] = elements[parents[i]] @ gens[parent_gens[i]] mod m,
     element 0 is the identity (parents[0] = parent_gens[0] = -1), index is
-    the elements' Index, right is the (n, k) int32 right Cayley table
-    (right[x, c] is the id of elements[x] @ gens[c]) and BFS level L holds
-    the ids levels[L] <= x < levels[L + 1].  elements are entry_dtype(m),
-    parents int32 and parent_gens the narrowest signed dtype holding k.
+    the elements' Index, right the C-contiguous (k, n) right Cayley table
+    (right[c, x] the id of elements[x] @ gens[c]) and BFS level L holds the
+    ids levels[L] <= x < levels[L + 1].  elements are entry_dtype(m), right
+    and parents int32, parent_gens the narrowest signed dtype holding k.
 
     The frontier is expanded a level at a time.  Right multiplication acts
     on each row alone, (x g)_i = x_i g (Holt, Eick and O'Brien, Handbook of
@@ -181,9 +182,9 @@ def closure(gens, m, cap):
     its run and keeps its id; the other heads' tags, sorted, are the new
     elements in BFS order, numbered on from count.  A cumsum of the run heads
     numbers each sorted position's run, and one gather and one scatter by the
-    tags give every pool position its run's id: the products' ids are the
-    level's rows of right.  The ids are int32, so the closure stops at
-    ID_LIMIT elements whatever the cap.
+    tags give every pool position its run's id: the products' ids,
+    transposed, are the level's columns of right.  The ids are int32, so
+    the closure stops at ID_LIMIT elements whatever the cap.
     """
     k, d, _ = gens.shape
     store, gen_dtype = np.dtype(entry_dtype(m)), np.min_scalar_type(-k)
@@ -240,7 +241,7 @@ def closure(gens, m, cap):
         del lead, new, fresh_codes
         head[0] = False  # so the cumsum numbers each sorted position's run from 0
         ids[tags] = run_ids[np.cumsum(head, dtype=np.int32, out=ids)]  # each pool position's id
-        right.append(ids[n_old:].reshape(-1, k).copy())
+        right.append(ids[n_old:].reshape(-1, k).T.copy())
         x, c = np.divmod(scan - n_old, k)  # new elements, in BFS order
         del head, tags, run_ids, ids, scan  # before the next level allocates
         if table is None:
@@ -252,7 +253,7 @@ def closure(gens, m, cap):
         parents.append(up)
         parent_gens.append(up_gens)
         frontier_start, count = count, count + len(x)
-    right = np.concatenate(right)  # before build_index allocates
+    right = np.concatenate(right, axis=1)  # before build_index allocates
     elements = np.concatenate(elements)
     if table is not None:
         elements = digits[elements]
@@ -283,6 +284,16 @@ def product_ids(index, *factors) -> np.ndarray:
     return ids
 
 
+def gather(src, idx) -> np.ndarray:
+    """src[idx] for a 1-D contiguous src, in src's dtype: np.take, a block at a time."""
+    if len(idx) <= GATHER_BLOCK:  # one block: no output buffer to fill
+        return np.take(src, idx)
+    out = np.empty(len(idx), dtype=src.dtype)
+    for lo in range(0, len(idx), GATHER_BLOCK):
+        np.take(src, idx[lo:lo + GATHER_BLOCK], out=out[lo:lo + GATHER_BLOCK])
+    return out
+
+
 def orbits(moves, n):
     """Orbits on range(n) of the group generated by the permutations in moves.
 
@@ -308,11 +319,11 @@ def orbits(moves, n):
     while True:
         new = label.copy()
         for t in moves:
-            image = label[t]
+            image = gather(label, t)
             np.minimum.at(new, label, image)
             np.minimum.at(new, image, label)
-        new = new[new]
-        new = new[new]
+        new = gather(new, new)
+        new = gather(new, new)
         if np.array_equal(new, label):
             break
         label = new

@@ -109,7 +109,7 @@ class TestGenerateGroup:
         n = sp2_5.order - 1
         index = kernels.build_index(sp2_5.elements[:n], sp2_5.m)
         g = rm.FiniteGroup(sp2_5.elements[:n], sp2_5.parents[:n], sp2_5.parent_gens[:n],
-                           index, sp2_5.right[:n], sp2_5.levels, sp2_5.gen_source,
+                           index, sp2_5.right[:, :n], sp2_5.levels, sp2_5.gen_source,
                            sp2_5.m, True)
         with pytest.raises(IntegrityError, match="escapes the group"):
             verify_closure(g)
@@ -251,6 +251,22 @@ class TestGatheredTables:
                                   g.action_table(ident, g.elements[x]))
             assert np.array_equal(g.extend(g.generators, start=x),
                                   g.action_table(g.elements[x], ident))
+
+    @pytest.mark.parametrize("m, k", [(2, 6), (3, 12)])
+    def test_padded_words_past_four_columns(self, m, k):
+        # u's conjugates of the generators have words of lengths 1 and 3,
+        # so extend pads the short ones, on 6 columns and on 12
+        g = rm.generate_group(rm.standard_generators(2, m))
+        shear = np.eye(4, dtype=np.int64)
+        shear[0, 1] = 1  # u = I + E_01: inner:1,1,0,0,0,1,0,0,0,0,1,0,0,0,0,1
+        u = rm.ModMatrix(shear, m)
+        phi = rm.inner(g, u)
+        assert len(g.generators) == k
+        assert {len(g.word(int(a))) for a in phi.perm[g.generators]} == {1, 3}
+        assert np.array_equal(phi.perm, g.action_table(u.entries, rm.mat_inverse(u).entries))
+        for s, move in zip(g.generators, twisted_moves(g, phi, g.generators)):
+            w = g.inverse_id(phi.perm[s])
+            assert np.array_equal(move, g.action_table(g.elements[s], g.elements[w]))
 
     def test_twisted_classes_move_by_user_generators(self, monkeypatch, sp2_7):
         # 2 user generators plus their inverses are augmented to 4 columns;

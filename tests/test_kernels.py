@@ -37,10 +37,17 @@ def _sp_gens(n, m):
 Z1009_GENS = [rm.ModMatrix([[1, 1], [0, 1]], 1009), rm.ModMatrix([[3, 0], [0, 1]], 1009)]
 
 
+def _assert_column_major(right, k, n):
+    """right is the (k, |G|) table closure returns: C-contiguous int32 rows."""
+    assert right.dtype == np.int32 and right.shape == (k, n)
+    assert right.flags.c_contiguous
+
+
 def _assert_matches_reference(gens, m):
     elems, parents, parent_gens, index, right, levels = kernels.closure(gens, m, 10**7)
     ref = reference_closure(gens, m, 10**7)
-    for got, want in zip((elems, parents, parent_gens, right, levels), ref):
+    _assert_column_major(right, len(gens), len(elems))
+    for got, want in zip((elems, parents, parent_gens, right.T, levels), ref):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     assert len(index.keys) == len(elems)
@@ -52,6 +59,13 @@ def _assert_matches_reference(gens, m):
 def test_closure_matches_reference(n, m):
     elems = _assert_matches_reference(_sp_gens(n, m), m)
     assert len(elems) == rm.sp_order(n, m)
+
+
+def test_group_keeps_the_column_major_table(sp4_2):
+    gens = _sp_gens(2, 2)
+    _assert_column_major(sp4_2.right, len(gens), sp4_2.order)
+    assert np.array_equal(sp4_2.right.T, reference_closure(gens, 2, 10**7)[3])
+    assert sp4_2.generators == sp4_2.right[:, 0].tolist()
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +154,8 @@ def test_closure_on_both_sides_of_the_row_table_bound(d, m, tables):
     gens = _augmented([rm.ModMatrix(shear, m), rm.ModMatrix(-np.eye(d, dtype=np.int64), m)])
     elems, parents, parent_gens, index, right, levels = kernels.closure(gens, m, 10**7)
     ref = reference_closure(gens, m, 10**7)
-    for got, want in zip((elems, parents, parent_gens, right, levels), ref):
+    _assert_column_major(right, len(gens), len(elems))
+    for got, want in zip((elems, parents, parent_gens, right.T, levels), ref):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     want_index = kernels.build_index(ref[0], m)
@@ -174,9 +189,9 @@ def test_parent_factorization():
     assert parents[0] == -1 and parent_gens[0] == -1
     for i in range(1, len(elems)):
         assert np.array_equal((elems[parents[i]] @ gens[parent_gens[i]]) % m, elems[i])
-        assert right[parents[i], parent_gens[i]] == i
-    assert right.dtype == np.int32 and right.shape == (len(elems), len(gens))
-    assert np.array_equal(elems[right], np.matmul(elems[:, None], gens) % m)
+        assert right[parent_gens[i], parents[i]] == i
+    _assert_column_major(right, len(gens), len(elems))
+    assert np.array_equal(elems[right.T], np.matmul(elems[:, None], gens) % m)
 
 
 def test_capacity_error_message():
@@ -418,6 +433,20 @@ def test_sort_tagged_on_void_keys():
     # two-word codes, as _codes gives past 2**63, with repeats
     words = np.random.default_rng(1).integers(0, 3, (200, 2)).astype(">u8")
     _assert_sorts_as_stable_argsort(words.view(np.dtype((np.void, 16))).ravel())
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("length", [0, kernels.GATHER_BLOCK - 1, kernels.GATHER_BLOCK,
+                                    kernels.GATHER_BLOCK + 1])
+def test_gather_is_fancy_indexing(dtype, length):
+    # int64 values past int32 (character values are int64): nothing narrows
+    rng = np.random.default_rng(length)
+    src = rng.integers(-2**40, 2**40, size=1000).astype(dtype)
+    for idx in (rng.integers(0, len(src), size=length, dtype=np.int32),
+                rng.integers(0, len(src), size=length, dtype=np.int64)):
+        got = kernels.gather(src, idx)
+        assert got.dtype == src.dtype and got.shape == (length,)
+        assert np.array_equal(got, src[idx])
 
 
 def test_first_index_matches_unique():
