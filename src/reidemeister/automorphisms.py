@@ -32,9 +32,13 @@ def _check_homomorphism(g: FiniteGroup, f: np.ndarray, times, mul, what: str):
     multiplies two tables entrywise: on every edge (x, g_c) of the right
     Cayley table, which by induction on word length covers all pairs, then
     on seeded random pairs as a belt-and-braces check.  Raises
-    IntegrityError "<what> at generator s" or "<what> at pair (i,j)"."""
+    IntegrityError "<what> at generator s" or "<what> at pair (i,j)".
+    One column per inverse pair {g, g^-1} covers both, as callers check f(1) = 1
+    first: x = g^-1 gives f(g^-1) = f(g)^-1, so f(y g^-1) = f(y) f(g^-1) for
+    all y, and the first failing column is the first of all k."""
+    inverse = (g.right[:, g.generators] == g.identity).argmax(axis=0)  # g_c^-1 = g_inverse[c]
     for c, s in enumerate(g.generators):
-        if not np.array_equal(kernels.gather(f, g.right[c]), times(f, f[s])):
+        if inverse[c] >= c and not np.array_equal(kernels.gather(f, g.right[c]), times(f, f[s])):
             raise IntegrityError(f"{what} at generator {s}")
     i, j = random_pairs(g.order, RANDOM_PAIR_SAMPLES)
     bad = np.flatnonzero(f[g.products(i, j)] != mul(f[i], f[j]))

@@ -151,18 +151,22 @@ class FiniteGroup:
         With images the generators this is left multiplication by start.
         With start the identity and images the phi(g_c) it is the only
         candidate for the homomorphism phi; only an edge check proves it one.
+        Past the shortest word, a letter is gathered only where there is one.
         """
         words = [self.word(int(a)) for a in images]
-        # rows[c, j]: right.ravel() offset of letter j of images[c]'s word; -1, dropped, past it
-        rows = np.full((len(words), max(map(len, words))), -1, dtype=np.int64)
+        short = min(map(len, words))
+        # letters[j, c]: right.ravel() offset of letter j of images[c]'s word; -1 past it
+        letters = np.full((max(map(len, words)), len(words)), -1,
+                          dtype=np.min_scalar_type(-self.right.size))
         for c, word in enumerate(words):
-            rows[c, :len(word)] = np.multiply(word, self.order)
+            letters[:len(word), c] = np.multiply(word, self.order)
         tab = np.empty(self.order, dtype=np.int32)
         tab[0] = start
         for lo, hi in zip(self.levels[1:-1], self.levels[2:]):
             level = kernels.gather(tab, self.parents[lo:hi])
-            for row in rows[self.parent_gens[lo:hi]].T:
-                level = np.where(row < 0, level, kernels.gather(self.right.ravel(), row + level))
+            for j, row in enumerate(letters[:, self.parent_gens[lo:hi]]):
+                at = slice(None) if j < short else np.flatnonzero(row >= 0)  # real letters
+                level[at] = kernels.gather(self.right.ravel(), row[at] + level[at])
             tab[lo:hi] = level
         return tab
 

@@ -1,6 +1,7 @@
 """Hot kernels: breadth-first closure under generators, the element index and
 the (k, |G|) right Cayley table it builds, chunked products looked up in the
-index, gather(): the one gather of a table by ids, and permutation orbits.
+index, gather(): the one gather of a table by ids (unbuffered where they are
+in range), and permutation orbits, by rounds until every move fixes them.
 
 The element index keys each matrix by its radix code: the row-major
 entries as the digits of one number, most significant first, so codes
@@ -30,7 +31,7 @@ from .modring import entry_dtype, matmul_mod
 CHUNK = 1 << 12  # rows per batched matmul and needles per search; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
 ROW_CODES = 1 << 16  # row codes a uint16 row table holds (closure's table bound)
-GATHER_BLOCK = 1 << 14  # indices per np.take in gather(); take copies them to intp
+GATHER_BLOCK = 1 << 16  # ids per np.take in gather(); take copies them to intp
 
 
 def _codes(flat, m) -> np.ndarray:
@@ -285,12 +286,16 @@ def product_ids(index, *factors) -> np.ndarray:
 
 
 def gather(src, idx) -> np.ndarray:
-    """src[idx] for a 1-D contiguous src, in src's dtype: np.take, a block at a time."""
-    if len(idx) <= GATHER_BLOCK:  # one block: no output buffer to fill
+    """src[idx] for a 1-D contiguous src, in src's dtype, or IndexError: one
+    np.take up to GATHER_BLOCK ids, else np.take a block at a time (the intp
+    copy of int32 ids stays one block long), mode="clip" where the min and
+    max put every id in range, unbuffered, else "raise", which buffers."""
+    if len(idx) <= GATHER_BLOCK:
         return np.take(src, idx)
+    mode = "clip" if idx.min() >= 0 and idx.max() < len(src) else "raise"
     out = np.empty(len(idx), dtype=src.dtype)
     for lo in range(0, len(idx), GATHER_BLOCK):
-        np.take(src, idx[lo:lo + GATHER_BLOCK], out=out[lo:lo + GATHER_BLOCK])
+        np.take(src, idx[lo:lo + GATHER_BLOCK], out=out[lo:lo + GATHER_BLOCK], mode=mode)
     return out
 
 
@@ -302,31 +307,32 @@ def orbits(moves, n):
     the orbits numbered in the order of their least element.
 
     Min-label propagation with root hooking and pointer jumping
-    (Shiloach-Vishkin 1982).  A round hooks, for each move t and every x,
-    the entries at label[x] and label[t[x]] down to the lesser of the two
-    (so a cycle whose ids rise along t becomes a chain), then jumps label =
-    label[label] exactly twice and compares with its starting labels.
+    (Shiloach-Vishkin 1982).  A round gathers label[t] for each move t in
+    turn; where t changes a label it hooks every edge once, in place: the
+    entry at the greater of label[x] and label[t[x]] goes down to the lesser
+    (the entry at the lesser could only go up, as label[j] <= j), so a cycle
+    whose ids rise along t becomes a chain.  Then label = label[label] twice.
 
-    Termination: a label names an element of the same orbit, no larger, so
-    hooking and jumping only lower labels; a round that lowers none changed
-    nothing at any step.  Then the labels are stars (label[label[x]] ==
-    label[x]) and no move joins two labels (label[x] == label[t[x]]), so
-    each orbit carries one label: an element of the orbit no larger than
-    its least id, hence that id (a permutation's cycle reaches back to its
-    start, so forward moves alone connect an orbit).
+    Termination: a label names an element of the same orbit, no larger than
+    its index; hooking and jumping keep that.  The rounds stop, with no
+    verification round, at the first whose gathers show label[t[x]] ==
+    label[x] for every move: each orbit (a permutation's cycle reaches back
+    to its start, so forward moves alone connect it) then carries one label,
+    an element no larger than its least id, hence that id.
     """
     label = np.arange(n, dtype=np.int32)
     while True:
-        new = label.copy()
+        hooked = False
         for t in moves:
             image = gather(label, t)
-            np.minimum.at(new, label, image)
-            np.minimum.at(new, image, label)
-        new = gather(new, new)
-        new = gather(new, new)
-        if np.array_equal(new, label):
+            if not np.array_equal(image, label):
+                low = np.minimum(label, image)
+                np.minimum.at(label, np.maximum(label, image, out=image), low)
+                hooked = True
+        if not hooked:
             break
-        label = new
+        label = gather(label, label)
+        label = gather(label, label)
     roots = np.flatnonzero(label == np.arange(n, dtype=np.int32))  # ascending
     number = np.empty(n, dtype=np.int32)
     number[roots] = np.arange(len(roots), dtype=np.int32)

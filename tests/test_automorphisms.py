@@ -159,6 +159,27 @@ class TestCharacter:
             rm.Character.from_generator_values(g, gen_values)
 
 
+@pytest.fixture(scope="module")
+def sp2_12():
+    return rm.generate_group(rm.standard_generators(1, 12))
+
+
+@pytest.fixture(scope="module", params=[
+    ("sp2_12", "sign_flip"), ("sp2_12", "inner"), ("sp2_12", "character"),
+    ("sp4_2", "sign_flip"), ("sp4_2", "inner"), ("dihedral8", "inner")], ids="-".join)
+def valid_table(request):
+    """(g, table, times, mul) as _check_homomorphism takes them, for a valid
+    automorphism or character: the sign flip, conjugation by the first
+    generator (on dihedral8 the quarter turn; its reflection, an involution,
+    is one column) or the S_3 sign character of Sp(2, Z_12)."""
+    name, kind = request.param
+    g = request.getfixturevalue(name)
+    if kind == "character":
+        return g, rm.Character.from_generator_values(g, [-1, -1]).values, np.multiply, np.multiply
+    phi = rm.sign_flip(g) if kind == "sign_flip" else rm.inner(g, g.element(g.generators[0]))
+    return g, phi.perm, g.times, g.products
+
+
 class TestValidation:
     @pytest.mark.parametrize("make, message", [
         (lambda n: np.arange(n - 1), "image table has wrong size"),
@@ -226,6 +247,24 @@ class TestValidation:
             build, args = rm.Character, (g, values)
         with pytest.raises(IntegrityError, match=r"at generator \d+$"):
             build(*args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_first_failing_column_is_that_of_all_columns(self, valid_table, data):
+        # the edge check skips the second column of each inverse pair; one
+        # corrupted non-identity entry must still fail at the column, and so
+        # with the message, that a loop over all k columns finds first
+        g, table, times, mul = valid_table
+        f = table.copy()
+        x = data.draw(st.integers(1, g.order - 1), label="x")
+        if mul is np.multiply:
+            f[x] *= -1
+        else:
+            f[x] = data.draw(st.integers(0, g.order - 1).filter(lambda v: v != f[x]))
+        first = next(s for c, s in enumerate(g.generators)
+                     if not np.array_equal(f[g.right[c]], times(f, f[s])))
+        with pytest.raises(IntegrityError, match=f"^bad at generator {first}$"):
+            _check_homomorphism(g, f, times, mul, "bad")
 
     def test_sign_flip_needs_normalizer(self):
         # <[[0, 1], [2, 1]]> over Z_3 is cyclic of order 6; its sign flip

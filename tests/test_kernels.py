@@ -449,6 +449,34 @@ def test_gather_is_fancy_indexing(dtype, length):
         assert np.array_equal(got, src[idx])
 
 
+class _NoReduction(np.ndarray):
+    """An id array whose min and max may not be called."""
+
+    def min(self, *args, **kwargs):
+        raise AssertionError("min of an id array of one block")
+
+    max = min
+
+
+@pytest.mark.parametrize("length", [kernels.GATHER_BLOCK - 1, kernels.GATHER_BLOCK,
+                                    kernels.GATHER_BLOCK + 1])
+@pytest.mark.parametrize("at", [0, -1])
+def test_gather_at_the_ends_of_the_id_range(length, at):
+    # src[idx] for every id in [-len(src), len(src)), IndexError for any other,
+    # whether the ids are taken whole or in blocks; one block takes no min or max
+    src = np.random.default_rng(length).integers(-2**40, 2**40, size=1000)
+    for bad, fits in ((-1, True), (-len(src), True), (len(src), False), (-len(src) - 1, False)):
+        idx = np.arange(length, dtype=np.int32) % len(src)
+        idx[at] = bad
+        if length <= kernels.GATHER_BLOCK:
+            idx = idx.view(_NoReduction)
+        if fits:
+            assert np.array_equal(kernels.gather(src, idx), src[np.asarray(idx)])
+        else:
+            with pytest.raises(IndexError):
+                kernels.gather(src, idx)
+
+
 def test_first_index_matches_unique():
     labels = np.random.default_rng(2).integers(0, 40, 500)
     first = kernels.first_index(labels, 50)
@@ -557,6 +585,43 @@ def test_orbit_rounds_on_rising_cycles(n, n_cycles, rnd):
         labels, count = kernels.orbits(moves, n)
         assert (labels.tolist(), count) == (want, want_count)
         assert moves.rounds <= 3 + int(np.log2(n))
+
+
+def _count_gathers(monkeypatch):
+    """kernels.gather, wrapped to count its calls: the list of their lengths."""
+    calls, gather = [], kernels.gather
+
+    def counting(src, idx):
+        calls.append(len(idx))
+        return gather(src, idx)
+
+    monkeypatch.setattr(kernels, "gather", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (1, 2), (70_000, 3)])
+def test_fixed_labels_cost_one_gather_a_move(monkeypatch, n, k):
+    # moves that fix every label stop the first round: no hooking, no jumps
+    calls = _count_gathers(monkeypatch)
+    labels, count = kernels.orbits([np.arange(n)] * k, n)
+    assert (labels.tolist(), count) == (list(range(n)), n)
+    assert calls == [n] * k
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 512), st.lists(st.tuples(st.integers(1, 4), st.booleans()),
+                                     min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_orbit_gathers_per_round(n, shapes, rnd):
+    # each round that hooks gathers label[t] for all k moves and jumps twice;
+    # the last round gathers label[t] for all k and finds every label fixed
+    moves = _CountingMoves(_cycle_move(n, n_cycles, rnd, falling)
+                           for n_cycles, falling in shapes)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_gathers(monkeypatch)
+        kernels.orbits(moves, n)
+    k, rounds = len(moves), moves.rounds
+    assert len(calls) == (k + 2) * (rounds - 1) + k
 
 
 @settings(max_examples=100, deadline=None)
