@@ -436,9 +436,11 @@ def test_sort_tagged_on_void_keys():
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("length", [0, kernels.GATHER_BLOCK - 1, kernels.GATHER_BLOCK,
+@pytest.mark.parametrize("length", [0, 2**14 - 1, 2**14, 2**14 + 1,
+                                    kernels.GATHER_BLOCK - 1, kernels.GATHER_BLOCK,
                                     kernels.GATHER_BLOCK + 1])
 def test_gather_is_fancy_indexing(dtype, length):
+    # lengths about 2**14, the block of earlier versions, and about GATHER_BLOCK
     # int64 values past int32 (character values are int64): nothing narrows
     rng = np.random.default_rng(length)
     src = rng.integers(-2**40, 2**40, size=1000).astype(dtype)
