@@ -51,9 +51,10 @@ def coset_moves(g: FiniteGroup, phi: Automorphism, k: int) -> list[np.ndarray]:
     of phi, as id tables over x.
 
     Conjugation by (s, 0) is x -> s x phi^k(s^-1), one per user generator
-    s, by FiniteGroup.action_table (kernels.product_ids' one sort, never the
-    Cayley-table gathers that twisted_classes is built on); conjugation by
-    (1, 1) is x -> phi(x), phi's own permutation, when m > 1.
+    s, by FiniteGroup.action_table (matmul_mod's float64 GEMM and
+    kernels.product_ids' one sort, never the Cayley-table gathers that
+    twisted_classes is built on); conjugation by (1, 1) is x -> phi(x),
+    phi's own permutation, when m > 1.
     kernels.orbits needs no inverse moves.  Each table is checked at the
     coset point (identity, k) against the scalar product
     (g, j)(h, l) = (g phi^j(h), j + l).
@@ -384,8 +385,8 @@ def thm33_block_certificate(p: int = 3, n: int = 2, w: int = 2,
         rhs = matmul_mod(p, _torus(u, n, p), flipped)
         hits |= np.all(lhs == rhs, axis=(1, 2))
     hit_ids = np.nonzero(hits)[0]
-    off_low = elems[hit_ids][:, 2:, :2]
-    off_high = elems[hit_ids][:, :2, 2:]
+    hit = elems[hit_ids]
+    off_low, off_high = hit[:, 2:, :2], hit[:, :2, 2:]
     violating = np.nonzero(off_low.any(axis=(1, 2)) | off_high.any(axis=(1, 2)))[0]
     computed = {"group_order": g.order, "w": w,
                 "solutions_in_torus": int(len(hit_ids)),

@@ -107,9 +107,10 @@ class FiniteGroup:
         return self.id_of(mat_inverse(self.element(i)))
 
     def action_table(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """ids of left @ x @ right mod m over all elements x, by one sort in
-        kernels.product_ids (a binary search only if an image escapes); left
-        and right are reduced mod m first.  Raises IntegrityError naming the
+        """ids of left @ x @ right mod m over all elements x, by
+        kernels.product_ids: matmul_mod's exact float64 GEMM (d^2 m^2 <= 2^52),
+        then one sort (a binary search only if an image escapes); left and
+        right are reduced mod m first.  Raises IntegrityError naming the
         first x whose image is not an element.  The semidirect and Burnside
         oracles build their tables with it, apart from the gathers below,
         and the tests compare those with it."""

@@ -16,9 +16,10 @@ one value sort of code << b | position where that fits uint64.
 
 Elements are stored at entry_dtype(m) (one byte per entry for m <= 256),
 ids and parents as int32, and every matmul is modring.matmul_mod, in the
-narrowest dtype in which it is exact.  Within the row-table bound (m**d <=
-ROW_CODES, m**(d*d) < 2**63) the closure multiplies by row tables built
-with it instead: the rows of x g are the rows of x times g.
+narrowest dtype in which it is exact (a stack by fixed matrices as an exact
+float64 GEMM).  Within the row-table bound (m**d <= ROW_CODES, m**(d*d) <
+2**63) the closure multiplies by row tables built with it instead: the
+rows of x g are the rows of x times g.
 """
 
 from dataclasses import dataclass
@@ -267,7 +268,8 @@ def product_ids(index, *factors) -> np.ndarray:
     codes CHUNK rows at a time; -1 where a product is not an element.  Each
     factor is a (n, d, d) stack, all of one length n, or a single (d, d)
     matrix that multiplies every row; entries lie in [0, m).  One stack alone
-    is looked up as it is.  A stack of |G| rows whose sorted codes are
+    is looked up as it is; one stack between single matrices is matmul_mod's
+    exact float64 GEMM.  A stack of |G| rows whose sorted codes are
     index.keys (an action table) gets index.ids by _sort_tagged's tags, a
     merge with no binary search (Knuth, TAOCP 5.3.2); the rest take _search.  The right Cayley table is never read, so
     the oracles built on this stay disjoint from the gathers."""

@@ -9,6 +9,10 @@ Composite moduli are supported throughout: determinants are computed by
 fraction-free (Bareiss) elimination over the integers and reduced mod m,
 and inverses go through the adjugate, so no division by a non-unit ever
 happens.
+
+Floats appear only where they are exact: matmul_mod multiplies one stack
+by fixed matrices as a float64 GEMM where d^2 m^2 <= 2^52, in blocks of
+at most GEMM_MACS multiply-adds, and every other product in integers.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ def check_int64(dim: int, m: int):
 # (dtype, largest value), narrowest first; built once, as every matmul_mod call reads it
 PRODUCT_DTYPES = tuple((np.dtype(t), np.iinfo(t).max)
                        for t in (np.uint8, np.uint16, np.int32, np.int64))
+GEMM_MACS = 1 << 18  # multiply-adds per float64 GEMM block in matmul_mod: OpenBLAS's one-thread size
 
 
 def product_dtype(dim: int, m: int) -> np.dtype:
@@ -53,15 +58,56 @@ def product_dtype(dim: int, m: int) -> np.dtype:
     return next(dt for dt, most in PRODUCT_DTYPES if top <= most)
 
 
+def _gemm_stack(m: int, factors):
+    """The position of the one (n, d, d) stack among (d, d) factors where
+    matmul_mod's GEMM is exact and one row fits a block, else None."""
+    d = factors[0].shape[-1]
+    if len(factors) < 2 or d**4 > GEMM_MACS or d * d * m * m > 2**52:
+        return None
+    stacks = [i for i, f in enumerate(factors) if f.shape != (d, d)]
+    if len(stacks) != 1 or factors[stacks[0]].shape[1:] != (d, d):
+        return None
+    return stacks[0]
+
+
 def matmul_mod(m: int, *factors) -> np.ndarray:
     """The product of broadcastable (..., d, d) arrays with entries in [0, m),
-    reduced mod m after each factor: the one matmul over Z_m.  Each factor
-    is cast, without a copy where it already has it, to product_dtype(d, m),
-    in which every step is exact; the result has that dtype."""
+    reduced mod m, in product_dtype(d, m): the one matmul over Z_m.
+
+    One (n, d, d) stack X between single (d, d) matrices, L before it and R
+    after it (products of their sides, or I), is linear in X's d^2 entries:
+    one (n, d^2) x (d^2, d^2) GEMM by K[(a, b), (i, j)] = L[i, a] R[b, j]
+    mod m.  Where d^2 m^2 <= 2^52 it runs in float64, which has a BLAS path,
+    as FFLAS computes over Z_p (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+    2008): each sum P is an exact integer below 2^52, and so is floor(P / m)
+    (rounding moves P / m by under 1/m), so P - m floor(P / m) is P mod m.
+    Blocks of GEMM_MACS // d^4 rows stay on OpenBLAS's calling thread.
+    Every other product is integer np.matmul in product_dtype(d, m), exact
+    there, reduced after each factor."""
     dt = product_dtype(factors[0].shape[-1], m)
+    if (s := _gemm_stack(m, factors)) is not None:
+        return _gemm(m, factors[:s], factors[s], factors[s + 1:], dt)
     out = factors[0].astype(dt, copy=False)
     for f in factors[1:]:
         out = np.matmul(out, f.astype(dt, copy=False)) % m
+    return out
+
+
+def _gemm(m, before, stack, after, dt) -> np.ndarray:
+    """(before) stack (after) mod m by matmul_mod's float64 GEMM, in dt."""
+    n, d, _ = stack.shape
+    ident = np.eye(d, dtype=np.int64)
+    left, right = (matmul_mod(m, ident, *side).astype(np.int64) for side in (before, after))
+    k = (np.einsum("ia,bj->abij", left, right) % m).reshape(d * d, d * d).astype(np.float64)
+    out = np.empty((n, d, d), dtype=dt)
+    rows = GEMM_MACS // d**4
+    for lo in range(0, n, rows):
+        p = stack[lo:lo + rows].reshape(-1, d * d).astype(np.float64) @ k
+        q = p / m
+        np.floor(q, out=q)
+        q *= m
+        p -= q
+        out[lo:lo + rows] = p.reshape(-1, d, d)
     return out
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reidemeister as rm
+from reidemeister import modring
 from reidemeister.errors import SingularMatrixError, StructuralError
 from reidemeister.modring import (_is_prime, check_int64, entry_dtype, matmul_mod,
                                   product_dtype, symplectic_form)
@@ -300,6 +302,64 @@ class TestProductDtype:
     def test_past_int64_rejected(self):
         with pytest.raises(StructuralError, match="too large"):
             product_dtype(2, 2**31 + 1)  # 2 * (2^31)^2 = 2^63
+
+
+class TestGemmRoute:
+    """A stack between single matrices goes through matmul_mod's float64
+    GEMM; with _gemm_stack patched to None the same call takes the integer
+    np.matmul route, which the result must equal entry for entry and in dtype."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 13, 97, 127, 256, 257, 1009, 65537]),
+           st.sampled_from([2, 4, 6]), st.sampled_from(["first", "middle", "last"]),
+           st.integers(1, 2), st.integers(1, 2),
+           st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_equals_the_integer_route(self, m, d, where, n_before, n_after, length,
+                                      narrow, seed):
+        # 0 rows, 1 row, or one GEMM block -1, exactly and +1
+        rng = np.random.default_rng(seed)
+        n = length[0] * (modring.GEMM_MACS // d**4) + length[1]
+        stack = rng.integers(0, m, (n, d, d)).astype(entry_dtype(m) if narrow else np.int64)
+        stack[:1] = m - 1  # the largest entries the bound must hold
+        fixed = [rng.integers(0, m, (d, d)) for _ in range(n_before + n_after)]
+        before = [] if where == "first" else fixed[:n_before]
+        after = [] if where == "last" else fixed[n_before:]
+        factors = (*before, stack, *after)
+        assert modring._gemm_stack(m, factors) == len(before)
+        got = matmul_mod(m, *factors)
+        with mock.patch.object(modring, "_gemm_stack", return_value=None):
+            want = matmul_mod(m, *factors)
+        assert got.dtype == want.dtype == product_dtype(d, m)
+        assert got.shape == (n, d, d)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m,gemm", [(2**25, True), (2**25 + 1, False)])
+    def test_bound(self, m, gemm):
+        # d = 2: d^2 m^2 <= 2^52 exactly up to m = 2^25
+        rng = np.random.default_rng(m)
+        stack = rng.integers(m - 3, m, (5, 2, 2))
+        left, right = (rng.integers(m - 3, m, (2, 2)) for _ in range(2))
+        assert (modring._gemm_stack(m, (left, stack, right)) is not None) == gemm
+        got = matmul_mod(m, left, stack, right)
+        assert got.dtype == np.int64
+        for x, g in zip(stack.tolist(), got):
+            assert g.tolist() == _int_product(_int_product(left.tolist(), x, m), right.tolist(), m)
+
+    @pytest.mark.parametrize("shapes", [
+        [(7, 2, 2)],  # one stack alone is returned as it is
+        [(7, 2, 2), (7, 2, 2)],  # stack by stack
+        [(2, 2), (2, 2)],  # no stack
+        [(7, 1, 2, 2), (2, 2)],  # a 4-D stack
+        [(16, 2), (3, 2, 2)],  # closure's row tables: digit rows by a stack
+    ])
+    def test_other_shapes_take_the_integer_route(self, shapes):
+        assert modring._gemm_stack(5, [np.zeros(s, dtype=np.int64) for s in shapes]) is None
+
+    def test_no_block_past_gemm_macs(self):
+        # d = 22 fits one row a block (22^4 = 234,256); d = 24 would not
+        assert modring._gemm_stack(3, (np.eye(22), np.zeros((1, 22, 22)))) == 1
+        assert modring._gemm_stack(3, (np.eye(24), np.zeros((1, 24, 24)))) is None
 
 
 class TestCanonicalKey:
