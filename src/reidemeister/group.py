@@ -91,11 +91,13 @@ class FiniteGroup:
     def ids_of(self, mats) -> np.ndarray:
         """ids of a (n, d, d) stack of matrices by kernels.product_ids, as a
         product of one factor; -1 where one is not an element, including any
-        matrix with an entry outside [0, m), which the index does not hold."""
+        matrix with an entry not an integer in [0, m): the index holds none."""
         mats = np.asarray(mats)
         ids = np.full(len(mats), -1, dtype=np.int32)
         if mats.shape[1:] == (self.dim, self.dim):
             ok = ((mats >= 0) & (mats < self.m)).all(axis=(1, 2))
+            if mats.dtype.kind == "f":  # compared, never truncated: 1.5 is not 1
+                ok &= (mats == np.floor(mats)).all(axis=(1, 2))
             ids[ok] = kernels.product_ids(self._index, mats[ok])
         return ids
 

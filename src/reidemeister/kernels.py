@@ -19,7 +19,8 @@ ids and parents as int32, and every matmul is modring.matmul_mod, in the
 narrowest dtype in which it is exact (a stack by fixed matrices as an exact
 float64 GEMM).  Within the row-table bound (m**d <= ROW_CODES, m**(d*d) <
 2**63) the closure multiplies by row tables built with it instead: the
-rows of x g are the rows of x times g.
+rows of x g are the rows of x times g, each read by take along axis 0; the
+levels it deduplicates against are kept in code order, ids beside them.
 """
 
 from dataclasses import dataclass
@@ -137,15 +138,16 @@ def _row_tables(gens, m):
     """(table, digits) for right multiplication by the (k, d, d) gens one row
     at a time, or (None, None) past the bound.  A row's code is its d entries
     in base m, most significant first; digits[r] is the row with code r, at
-    entry_dtype(m), and table[c, r] the uint16 code of digits[r] @ gens[c]
-    mod m.  The bound: every row code below ROW_CODES, and every element's
-    code, its row codes in base m**d, below 2**63, one int64 word."""
+    entry_dtype(m), and table[r, c] the uint16 code of digits[r] @ gens[c]
+    mod m, a C-contiguous (m**d, k) table whose rows take reads whole.  The
+    bound: every row code below ROW_CODES, and every element's code, its row
+    codes in base m**d, below 2**63, one int64 word."""
     k, d, _ = gens.shape
     if m**d > ROW_CODES or m ** (d * d) >= 2**63:
         return None, None
     place = m ** np.arange(d - 1, -1, -1)
     digits = (np.arange(m**d)[:, None] // place % m).astype(entry_dtype(m))
-    return (matmul_mod(m, digits, gens) @ place).astype(np.uint16), digits
+    return np.ascontiguousarray((matmul_mod(m, digits, gens) @ place).T, dtype=np.uint16), digits
 
 
 def closure(gens, m, cap):
@@ -164,29 +166,33 @@ def closure(gens, m, cap):
     on each row alone, (x g)_i = x_i g (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, 2005), so within _row_tables' bound the
     frontier is held as its elements' row codes x_i: the code of x g_c is
-    sum_i table[c, x_i] (m**d)**(d - 1 - i), d gathers, the next frontier's
-    rows are gathered from the table, and the elements are decoded once at
-    the end.  Past the bound the frontier is held as matrices, and each
-    level's products are taken by matmul_mod and coded by _codes, CHUNK
-    frontier elements at a time; the rest of the level loop is shared.
+    sum_i table[x_i, c] (m**d)**(d - 1 - i), d takes of table rows along
+    axis 0 (whole rows, where fancy indexing copies entry by entry), the
+    next frontier's row codes one take from the flat table, and the elements
+    are decoded a level at a time at the end.  Past the bound the frontier
+    is held as matrices, and each level's products are taken by matmul_mod
+    and coded by _codes, CHUNK frontier elements at a time; the rest of the
+    level loop is shared.
 
     The generators are closed under inverses, so a product x g of a level-L
     element lies in level L - 1, L or L + 1: each level's product codes are
     deduplicated against the codes of levels L - 1 and L only (frontier
     search; Korf, Zhang, Thayer and Hohwald, J. ACM 52, 2005), by one sort.
-    The pool holds those levels' codes in id order, tagged 0, 1, ..., then
-    the products x g_c in sequential BFS scan order, frontier-major and
-    generator-minor, tagged on; _sort_tagged orders it by code, ties by tag.
+    The pool holds those levels' codes, each level in code order with its
+    ids kept beside it, tagged 0, 1, ..., then the products x g_c in
+    sequential BFS scan order, frontier-major and generator-minor, tagged
+    on; _sort_tagged orders it by code, ties by tag.
     The two levels are disjoint, so a run of equal codes holds at most one
     old element, first, and the run's head is either that element or the
     product of least scan position, which a sequential BFS would give the
     next id and take as the new element's parent.  Every old element heads
     its run and keeps its id; the other heads' tags, sorted, are the new
-    elements in BFS order, numbered on from count.  A cumsum of the run heads
-    numbers each sorted position's run, and one gather and one scatter by the
-    tags give every pool position its run's id: the products' ids,
-    transposed, are the level's columns of right.  The ids are int32, so
-    the closure stops at ID_LIMIT elements whatever the cap.
+    elements in BFS order, numbered on from count (by code, the next level's
+    codes and ids).  A cumsum of the run heads numbers each sorted position's
+    run, and one gather() and one scatter by the tags give every pool
+    position its run's id: the products' ids, transposed, are the level's
+    columns of right.  The ids are int32, so the closure stops at ID_LIMIT
+    elements whatever the cap.
     """
     k, d, _ = gens.shape
     store, gen_dtype = np.dtype(entry_dtype(m)), np.min_scalar_type(-k)
@@ -204,7 +210,8 @@ def closure(gens, m, cap):
         code = frontier.astype(np.int64) @ (m**d) ** np.arange(d - 1, -1, -1)
     root, root_gen = np.array([-1], dtype=np.int32), np.array([-1], dtype=gen_dtype)
     elements, parents, parent_gens, right = [frontier], [root], [root_gen], []
-    prev, cur = code[:0], code  # the codes of levels L - 1 and L, in id order
+    prev, cur = code[:0], code  # the codes of levels L - 1 and L, each in code order
+    prev_ids, cur_ids = root[:0], np.zeros(1, dtype=np.int32)  # and their ids, beside them
     frontier_start, count, levels = 0, 1, [0]
     while len(frontier):
         levels.append(count)
@@ -217,48 +224,47 @@ def closure(gens, m, cap):
                 for lo in range(0, len(frontier), CHUNK)], out=pool[n_old:])
         else:
             products = pool[n_old:].reshape(len(frontier), k)
-            products[...] = table.T[frontier[:, 0]]
+            products[...] = table.take(frontier[:, 0], axis=0)
             for i in range(1, d):  # Horner's rule over the products' row codes
                 products *= m**d
-                products += table.T[frontier[:, i]]
+                products += table.take(frontier[:, i], axis=0)
             del products
         codes, tags = _sort_tagged(pool)
         del pool
         head = np.ones(len(codes), dtype=bool)  # the first position of each run of equal codes
         head[1:] = codes[1:] != codes[:-1]
         start = np.flatnonzero(head)
-        lead = tags[start]  # each run's old element or least scan position
+        lead = tags.take(start)  # each run's old element or least scan position
         if count + len(start) - n_old > cap:
             raise CapacityError(cap, max(count, cap))
         new = np.flatnonzero(lead >= n_old)  # the runs of new elements, by code
-        fresh_codes = codes[start[new]]
+        fresh_codes = codes.take(start.take(new))
         del codes, start
-        scan = np.sort(lead[new])  # the new elements' pool positions, in BFS order
+        scan = np.sort(lead.take(new))  # the new elements' pool positions, in BFS order
         ids = np.empty(len(tags), dtype=np.int32)  # the ids of the old elements and new leads
-        ids[:n_old] = np.arange(count - n_old, count, dtype=np.int32)
+        ids[:len(prev)], ids[len(prev):n_old] = prev_ids, cur_ids
         ids[scan] = np.arange(count, count + len(scan), dtype=np.int32)
-        run_ids = ids[lead]
-        prev, cur = cur, np.empty_like(fresh_codes)
-        cur[run_ids[new] - count] = fresh_codes  # the new elements' codes, in id order
-        del lead, new, fresh_codes
+        run_ids = gather(ids, lead)
+        prev, cur, prev_ids, cur_ids = cur, fresh_codes, cur_ids, run_ids.take(new)
+        del lead, new
         head[0] = False  # so the cumsum numbers each sorted position's run from 0
-        ids[tags] = run_ids[np.cumsum(head, dtype=np.int32, out=ids)]  # each pool position's id
+        ids[tags] = gather(run_ids, np.cumsum(head, dtype=np.int32, out=ids))  # by pool position
         right.append(ids[n_old:].reshape(-1, k).T.copy())
         x, c = np.divmod(scan - n_old, k)  # new elements, in BFS order
         del head, tags, run_ids, ids, scan  # before the next level allocates
         if table is None:
-            frontier = matmul_mod(m, frontier[x], gens[c]).astype(store)
+            frontier = matmul_mod(m, frontier.take(x, axis=0), gens.take(c, axis=0)).astype(store)
         else:
-            frontier = table[c[:, None], frontier[x]]
+            frontier = table.ravel().take(frontier.take(x, axis=0) * np.intp(k) + c[:, None])
         up, up_gens = (frontier_start + x).astype(np.int32), c.astype(gen_dtype)
         elements.append(frontier)
         parents.append(up)
         parent_gens.append(up_gens)
         frontier_start, count = count, count + len(x)
     right = np.concatenate(right, axis=1)  # before build_index allocates
+    if table is not None:  # a level at a time, so take's intp copy of the codes is one level long
+        elements = [digits.take(f, axis=0) for f in elements]
     elements = np.concatenate(elements)
-    if table is not None:
-        elements = digits[elements]
     return (elements, np.concatenate(parents), np.concatenate(parent_gens),
             build_index(elements, m), right, np.array(levels, dtype=np.int64))
 
@@ -287,15 +293,16 @@ def product_ids(index, *factors) -> np.ndarray:
     return ids
 
 
-def gather(src, idx) -> np.ndarray:
+def gather(src, idx, out=None) -> np.ndarray:
     """src[idx] for a 1-D contiguous src, in src's dtype, or IndexError: one
     np.take up to GATHER_BLOCK ids, else np.take a block at a time (the intp
     copy of int32 ids stays one block long), mode="clip" where the min and
-    max put every id in range, unbuffered, else "raise", which buffers."""
+    max put every id in range, unbuffered, else "raise", which buffers; into
+    out (len(idx) long, src's dtype, not src) if given and idx is not one block."""
     if len(idx) <= GATHER_BLOCK:
         return np.take(src, idx)
     mode = "clip" if idx.min() >= 0 and idx.max() < len(src) else "raise"
-    out = np.empty(len(idx), dtype=src.dtype)
+    out = np.empty(len(idx), dtype=src.dtype) if out is None else out
     for lo in range(0, len(idx), GATHER_BLOCK):
         np.take(src, idx[lo:lo + GATHER_BLOCK], out=out[lo:lo + GATHER_BLOCK], mode=mode)
     return out
@@ -314,6 +321,8 @@ def orbits(moves, n):
     entry at the greater of label[x] and label[t[x]] goes down to the lesser
     (the entry at the lesser could only go up, as label[j] <= j), so a cycle
     whose ids rise along t becomes a chain.  Then label = label[label] twice.
+    Rounds allocate no n-long ids: they gather into two buffers, the move
+    image and its low side, and the jumps alternate label and the image's.
 
     Termination: a label names an element of the same orbit, no larger than
     its index; hooking and jumping keep that.  The rounds stop, with no
@@ -323,19 +332,20 @@ def orbits(moves, n):
     an element no larger than its least id, hence that id.
     """
     label = np.arange(n, dtype=np.int32)
+    image, low = np.empty_like(label), np.empty_like(label)
     while True:
         hooked = False
         for t in moves:
-            image = gather(label, t)
+            image = gather(label, t, out=image)
             if not np.array_equal(image, label):
-                low = np.minimum(label, image)
+                np.minimum(label, image, out=low)
                 np.minimum.at(label, np.maximum(label, image, out=image), low)
                 hooked = True
         if not hooked:
             break
-        label = gather(label, label)
-        label = gather(label, label)
+        label, image = gather(label, label, out=image), label
+        label, image = gather(label, label, out=image), label
+    del image  # before the numbering allocates
     roots = np.flatnonzero(label == np.arange(n, dtype=np.int32))  # ascending
-    number = np.empty(n, dtype=np.int32)
-    number[roots] = np.arange(len(roots), dtype=np.int32)
-    return number[label], len(roots)
+    low[roots] = np.arange(len(roots), dtype=np.int32)  # each root's orbit number
+    return low[label], len(roots)

@@ -121,6 +121,8 @@ class ModMatrix:
         if m < 2:  # before anything reduces by m
             raise StructuralError(f"modulus must be >= 2, got {m}")
         a = np.array(entries, dtype=np.int64)
+        if np.asarray(entries).dtype.kind not in "biu" and not np.array_equal(a, entries):
+            raise StructuralError("matrix entries must be integers")  # 1.5 is not 1
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise StructuralError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] % 2 != 0 or a.shape[0] == 0:

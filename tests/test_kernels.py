@@ -5,6 +5,7 @@ conftest, label for label; the sort and first-index helpers against numpy's
 stable argsort and np.unique."""
 
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import reference_closure, reference_ids, union_find_labels
 from reidemeister import kernels
 from reidemeister.automorphisms import load_character_file
 from reidemeister.errors import CapacityError, IntegrityError, StructuralError
+from reidemeister.modring import entry_dtype
 
 
 def _augmented(gens):
@@ -43,14 +45,25 @@ def _assert_column_major(right, k, n):
     assert right.flags.c_contiguous
 
 
-def _assert_matches_reference(gens, m):
-    elems, parents, parent_gens, index, right, levels = kernels.closure(gens, m, 10**7)
-    ref = reference_closure(gens, m, 10**7)
+def _assert_matches_reference(gens, m, cap=10**7):
+    """kernels.closure against the reference, bit for bit and in its storage
+    layout: C-contiguous (n, d, d) elements at entry_dtype(m), contiguous
+    parents, parent_gens and levels, a C-contiguous right, and the index
+    build_index gives the reference's elements."""
+    elems, parents, parent_gens, index, right, levels = kernels.closure(gens, m, cap)
+    ref = reference_closure(gens, m, cap)
     _assert_column_major(right, len(gens), len(elems))
+    d = gens.shape[1]
+    assert elems.shape[1:] == (d, d) and elems.dtype == entry_dtype(m)
+    assert elems.flags.c_contiguous
+    assert all(a.flags.c_contiguous for a in (parents, parent_gens, levels))
     for got, want in zip((elems, parents, parent_gens, right.T, levels), ref):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    assert len(index.keys) == len(elems)
+    want_index = kernels.build_index(ref[0], m)
+    assert index.keys.dtype == want_index.keys.dtype
+    assert np.array_equal(index.keys, want_index.keys)
+    assert index.ids.dtype == np.int32 and np.array_equal(index.ids, want_index.ids)
     assert np.array_equal(kernels.product_ids(index, elems), np.arange(len(elems)))
     return elems
 
@@ -59,6 +72,37 @@ def _assert_matches_reference(gens, m):
 def test_closure_matches_reference(n, m):
     elems = _assert_matches_reference(_sp_gens(n, m), m)
     assert len(elems) == rm.sp_order(n, m)
+
+
+@st.composite
+def random_generator_sets(draw):
+    """One to three random invertible matrices, 2x2 over Z_m for m <= 12 or
+    4x4 over Z_2, followed by their new inverses as generate_group orders them."""
+    d, m = draw(st.sampled_from([(2, m) for m in range(2, 13)] + [(4, 2)]))
+    rnd = draw(st.randoms(use_true_random=False))  # uniform entries, not shrunk to 0
+    gens, size = [], draw(st.integers(1, 3))
+    while len(gens) < size:
+        entries = np.array([rnd.randrange(m) for _ in range(d * d)]).reshape(d, d)
+        x = rm.ModMatrix(np.eye(d, dtype=np.int64) + entries, m)  # uniform; I where rnd gives 0s
+        if gcd(rm.det(x), m) == 1:
+            gens.append(x)
+    return _augmented(gens), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_generator_sets())
+def test_closure_matches_reference_on_random_generators(case):
+    # ties between equal products of one level go to the least scan position
+    # whatever order the old levels are kept in; past the cap neither finishes
+    gens, m = case
+    cap = 3000
+    try:
+        _assert_matches_reference(gens, m, cap)
+    except CapacityError:
+        with pytest.raises(CapacityError):
+            reference_closure(gens, m, cap)
+        with pytest.raises(CapacityError):
+            kernels.closure(gens, m, cap)
 
 
 def test_group_keeps_the_column_major_table(sp4_2):
@@ -333,6 +377,13 @@ def test_lookup_marks_missing_rows(sp2_5):
     assert sp2_5.ids_of(mats).tolist() == [17, -1, 3]
 
 
+def test_lookup_rejects_non_integral_entries(sp2_5):
+    # a float stack is compared, never truncated: 1.5 is not the identity's 1
+    mats = np.array([[[1.5, 0], [0, 1]], [[1.0, 0], [0, 1]], sp2_5.elements[17] + 0.25])
+    assert sp2_5.ids_of(mats).tolist() == [-1, 0, -1]
+    assert sp2_5.ids_of(sp2_5.elements[[17, 3]].astype(np.float64)).tolist() == [17, 3]
+
+
 def test_lookup_rejects_unreduced_entries(sp2_5):
     # a radix code would carry an entry equal to m into the next digit
     x = sp2_5.elements[17].astype(np.int64)
@@ -593,9 +644,9 @@ def _count_gathers(monkeypatch):
     """kernels.gather, wrapped to count its calls: the list of their lengths."""
     calls, gather = [], kernels.gather
 
-    def counting(src, idx):
+    def counting(src, idx, out=None):
         calls.append(len(idx))
-        return gather(src, idx)
+        return gather(src, idx, out)
 
     monkeypatch.setattr(kernels, "gather", counting)
     return calls

@@ -407,6 +407,15 @@ class TestStructure:
         m = mm([[-1, 6], [0, 1]], 5)
         assert m.entries.tolist() == [[4, 1], [0, 1]]
 
+    @pytest.mark.parametrize("entries", [[[1.5, 0], [0, 1]], np.array([[1, 0], [-0.5, 1]])])
+    def test_non_integral_entries_rejected(self, entries):
+        # compared, never truncated: 1.5 is not the identity's 1
+        with pytest.raises(StructuralError, match="must be integers"):
+            rm.ModMatrix(entries, 5)
+
+    def test_integral_float_entries_accepted(self):
+        assert rm.ModMatrix([[1.0, 0], [-1.0, 1]], 5) == mm([[1, 0], [4, 1]], 5)
+
 
 small_matrix = st.integers(2, 9).flatmap(
     lambda m: st.tuples(
