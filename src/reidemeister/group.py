@@ -111,6 +111,7 @@ class FiniteGroup:
     def action_table(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """ids of left @ x @ right mod m over all elements x, by
         kernels.product_ids: matmul_mod's exact float64 GEMM (d^2 m^2 <= 2^52),
+        whose blocks sum the radix codes where m <= 256 and m^(d^2) <= 2^53,
         then one sort (a binary search only if an image escapes); left and
         right are reduced mod m first.  Raises IntegrityError naming the
         first x whose image is not an element.  The semidirect and Burnside
@@ -183,7 +184,8 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
 
     Generators are augmented with their inverses before BFS so the move
     set is symmetric.  If every generator is symplectic, every element is
-    verified against the symplectic condition.
+    verified against the symplectic condition, by one is_symplectic call,
+    and an IntegrityError names the least id that fails it.
     """
     if not gens:
         raise StructuralError("at least one generator required")
@@ -199,11 +201,8 @@ def generate_group(gens, cap=DEFAULT_CAP) -> FiniteGroup:
     gen_stack = np.ascontiguousarray(stack[first])
     source = [int(i) % len(gens) for i in first]
     elements, parents, parent_gens, index, right, levels = kernels.closure(gen_stack, m, cap)
-    if symplectic:
-        for lo in range(0, len(elements), kernels.CHUNK):  # bounds the transient products
-            bad = np.flatnonzero(~is_symplectic(elements[lo:lo + kernels.CHUNK], m))
-            if len(bad):
-                raise IntegrityError(f"element {lo + bad[0]} violates the symplectic condition")
+    if symplectic and not (ok := is_symplectic(elements, m)).all():
+        raise IntegrityError(f"element {np.argmin(ok)} violates the symplectic condition")
     return FiniteGroup(elements, parents, parent_gens, index, right, levels, source, m,
                        symplectic)
 
@@ -248,7 +247,8 @@ def twisted_classes(g: FiniteGroup, phi) -> Partition:
     if phi._partition is None:
         moves = twisted_moves(g, phi, g.user_generators().values())
         class_of, n_classes = kernels.orbits(moves, g.order)
-        sizes = np.bincount(class_of, minlength=n_classes).astype(np.int64)
+        sizes = np.zeros(n_classes, dtype=np.int64)
+        np.add.at(sizes, class_of, 1)  # bincount would copy the int32 labels to intp
         order = g.lex_order()
         reps = order[kernels.first_index(class_of[order], n_classes)]
         class_of.flags.writeable = reps.flags.writeable = sizes.flags.writeable = False

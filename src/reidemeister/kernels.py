@@ -7,9 +7,10 @@ The element index keys each matrix by its radix code: the row-major
 entries as the digits of one number, most significant first, so codes
 ascend as canonical_key does.  It keeps the sorted codes and, in the same
 order, the int32 ids.  product_ids() looks up a stack of products, a
-stack of matrices being a product of one factor: it sorts |G| codes (an
-action table) once and compares them with the keys whole, and finds any
-other stack by np.searchsorted.  Where a code reaches 2**63, digits are
+stack of matrices being a product of one factor, coded inside matmul_mod's
+GEMM blocks where that route applies: it sorts |G| codes (an action table)
+once and compares them with the keys whole, and finds any other stack by
+np.searchsorted.  Where a code reaches 2**63, digits are
 packed into big-endian uint64 words, each row's words one np.void key that
 sorts, searches and compares the same way.  _sort_tagged sorts them all,
 one value sort of code << b | position where that fits uint64.
@@ -28,12 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, StructuralError
-from .modring import entry_dtype, matmul_mod
+from .modring import entry_dtype, gemm_codes, matmul_mod
 
 CHUNK = 1 << 12  # rows per batched matmul and needles per search; bounds peak memory
 ID_LIMIT = np.iinfo(np.int32).max  # element ids and the Cayley table are int32
 ROW_CODES = 1 << 16  # row codes a uint16 row table holds (closure's table bound)
 GATHER_BLOCK = 1 << 16  # ids per np.take in gather(); take copies them to intp
+
+
+def _place(m, width) -> list:
+    """The weights m**(width - 1 - j) of a code's digits j, as Python ints."""
+    return [m ** (width - 1 - j) for j in range(width)]
 
 
 def _codes(flat, m) -> np.ndarray:
@@ -46,9 +52,14 @@ def _codes(flat, m) -> np.ndarray:
     words, base**per < 2**63, by Horner's rule over the digit columns.  One
     word is the code itself.  Several are stored big-endian and each row's
     words viewed as one np.void key, which compares bytewise as the words
-    do, first word first.
+    do, first word first.  A stack of at most CHUNK rows that fits one word,
+    m <= 256, is coded by one integer matmul by _place's weights instead:
+    Horner's rule costs two ufunc calls per digit column, the matmul more
+    per row.
     """
     n, width = flat.shape
+    if m <= 256 and n <= CHUNK and m**width < 2**63:  # one word: one integer matmul
+        return flat.astype(np.int64) @ np.array(_place(m, width), dtype=np.int64)
     if m > 256:
         flat = flat.astype(entry_dtype(m)).byteswap()
     base = 256**flat.itemsize if m > 256 else m
@@ -270,21 +281,26 @@ def closure(gens, m, cap):
 
 
 def product_ids(index, *factors) -> np.ndarray:
-    """ids of the products over Z_m of the factors, by matmul_mod and radix
-    codes CHUNK rows at a time; -1 where a product is not an element.  Each
-    factor is a (n, d, d) stack, all of one length n, or a single (d, d)
-    matrix that multiplies every row; entries lie in [0, m).  One stack alone
-    is looked up as it is; one stack between single matrices is matmul_mod's
-    exact float64 GEMM.  A stack of |G| rows whose sorted codes are
-    index.keys (an action table) gets index.ids by _sort_tagged's tags, a
-    merge with no binary search (Knuth, TAOCP 5.3.2); the rest take _search.  The right Cayley table is never read, so
-    the oracles built on this stay disjoint from the gathers."""
+    """ids of the products over Z_m of the factors by their radix codes; -1
+    where a product is not an element.  Each factor is a (n, d, d) stack, all
+    of one length n, or a single (d, d) matrix that multiplies every row;
+    entries lie in [0, m).  One stack between single matrices, m <= 256 and
+    m**(d*d) <= 2**53, is coded by modring.gemm_codes with _place's weights:
+    matmul_mod's float64 GEMM sums each block's codes, the ones _codes would
+    give.  Every other product is matmul_mod's, coded by _codes, CHUNK rows at
+    a time; one stack alone is looked up as it is.  A stack of |G| rows whose
+    sorted codes are index.keys (an action table) gets index.ids by
+    _sort_tagged's tags, a merge with no binary search (Knuth, TAOCP 5.3.2);
+    the rest take _search.  The right Cayley table is never read, so the
+    oracles built on this stay disjoint from the gathers."""
     n = next(len(f) for f in factors if f.ndim == 3)
     keys, m, d = index.keys, index.m, index.dim
-    codes = np.empty(n, dtype=keys.dtype)
-    for lo in range(0, n, CHUNK):
-        codes[lo:lo + CHUNK] = _codes(matmul_mod(m, *(f[lo:lo + CHUNK] if f.ndim == 3 else f
-                                                      for f in factors)).reshape(-1, d * d), m)
+    codes = gemm_codes(m, _place(m, d * d), *factors) if m <= 256 else None
+    if codes is None:
+        codes = np.empty(n, dtype=keys.dtype)
+        for lo in range(0, n, CHUNK):
+            codes[lo:lo + CHUNK] = _codes(matmul_mod(m, *(f[lo:lo + CHUNK] if f.ndim == 3 else f
+                                                          for f in factors)).reshape(-1, d * d), m)
     if n != len(keys):
         return _search(keys, index.ids, codes)
     codes, tags = _sort_tagged(codes)
@@ -321,8 +337,10 @@ def orbits(moves, n):
     entry at the greater of label[x] and label[t[x]] goes down to the lesser
     (the entry at the lesser could only go up, as label[j] <= j), so a cycle
     whose ids rise along t becomes a chain.  Then label = label[label] twice.
-    Rounds allocate no n-long ids: they gather into two buffers, the move
-    image and its low side, and the jumps alternate label and the image's.
+    Rounds allocate nothing n long: they gather into two buffers, the move
+    image and its low side, the jumps alternate label and the image's, and
+    image is compared with label a GATHER_BLOCK at a time, up to the first
+    block that differs.
 
     Termination: a label names an element of the same orbit, no larger than
     its index; hooking and jumping keep that.  The rounds stop, with no
@@ -337,7 +355,8 @@ def orbits(moves, n):
         hooked = False
         for t in moves:
             image = gather(label, t, out=image)
-            if not np.array_equal(image, label):
+            if not all(np.array_equal(image[lo:lo + GATHER_BLOCK], label[lo:lo + GATHER_BLOCK])
+                       for lo in range(0, n, GATHER_BLOCK)):
                 np.minimum(label, image, out=low)
                 np.minimum.at(label, np.maximum(label, image, out=image), low)
                 hooked = True

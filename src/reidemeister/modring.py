@@ -12,7 +12,8 @@ happens.
 
 Floats appear only where they are exact: matmul_mod multiplies one stack
 by fixed matrices as a float64 GEMM where d^2 m^2 <= 2^52, in blocks of
-at most GEMM_MACS multiply-adds, and every other product in integers.
+at most GEMM_MACS multiply-adds, and every other product in integers;
+gemm_codes sums the products' radix codes in the same blocks, below 2^53.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ def check_int64(dim: int, m: int):
 PRODUCT_DTYPES = tuple((np.dtype(t), np.iinfo(t).max)
                        for t in (np.uint8, np.uint16, np.int32, np.int64))
 GEMM_MACS = 1 << 18  # multiply-adds per float64 GEMM block in matmul_mod: OpenBLAS's one-thread size
+SYMPLECTIC_BLOCK = 1 << 16  # matrices per block of is_symplectic
 
 
 def product_dtype(dim: int, m: int) -> np.dtype:
@@ -82,8 +84,9 @@ def matmul_mod(m: int, *factors) -> np.ndarray:
     2008): each sum P is an exact integer below 2^52, and so is floor(P / m)
     (rounding moves P / m by under 1/m), so P - m floor(P / m) is P mod m.
     Blocks of GEMM_MACS // d^4 rows stay on OpenBLAS's calling thread.
-    Every other product is integer np.matmul in product_dtype(d, m), exact
-    there, reduced after each factor."""
+    gemm_codes takes the same route and turns each reduced block into codes
+    in the same loop.  Every other product is integer np.matmul in
+    product_dtype(d, m), exact there, reduced after each factor."""
     dt = product_dtype(factors[0].shape[-1], m)
     if (s := _gemm_stack(m, factors)) is not None:
         return _gemm(m, factors[:s], factors[s], factors[s + 1:], dt)
@@ -93,13 +96,29 @@ def matmul_mod(m: int, *factors) -> np.ndarray:
     return out
 
 
-def _gemm(m, before, stack, after, dt) -> np.ndarray:
-    """(before) stack (after) mod m by matmul_mod's float64 GEMM, in dt."""
+def gemm_codes(m: int, place, *factors):
+    """The int64 codes sum_j r_j place[j] of the row-major entries r of each
+    product of matmul_mod(m, *factors), or None unless the product takes
+    matmul_mod's float64 GEMM and (m - 1) sum(place) < 2^53.  place holds
+    non-negative ints.  Each block's reduced entries are exact integers below
+    m, so every partial sum of r_j place[j] is an exact integer below 2^53:
+    the codes come out of the GEMM block, never cast back to product_dtype."""
+    s = _gemm_stack(m, factors)
+    if s is None or (m - 1) * sum(place) >= 2**53:
+        return None
+    return _gemm(m, factors[:s], factors[s], factors[s + 1:], np.int64,
+                 np.array(place, dtype=np.float64))
+
+
+def _gemm(m, before, stack, after, dt, place=None) -> np.ndarray:
+    """(before) stack (after) mod m by matmul_mod's float64 GEMM, in dt; given
+    the float64 place, each product's code for gemm_codes instead, summed by
+    np.einsum, which takes no BLAS thread."""
     n, d, _ = stack.shape
     ident = np.eye(d, dtype=np.int64)
     left, right = (matmul_mod(m, ident, *side).astype(np.int64) for side in (before, after))
     k = (np.einsum("ia,bj->abij", left, right) % m).reshape(d * d, d * d).astype(np.float64)
-    out = np.empty((n, d, d), dtype=dt)
+    out = np.empty((n, d, d) if place is None else n, dtype=dt)
     rows = GEMM_MACS // d**4
     for lo in range(0, n, rows):
         p = stack[lo:lo + rows].reshape(-1, d * d).astype(np.float64) @ k
@@ -107,7 +126,10 @@ def _gemm(m, before, stack, after, dt) -> np.ndarray:
         np.floor(q, out=q)
         q *= m
         p -= q
-        out[lo:lo + rows] = p.reshape(-1, d, d)
+        if place is None:
+            out[lo:lo + rows] = p.reshape(-1, d, d)
+        else:
+            out[lo:lo + rows] = np.einsum("ij,j->i", p, place)
     return out
 
 
@@ -232,12 +254,37 @@ def is_symplectic(a, m: int) -> np.ndarray:
     it preserves the interleaved symplectic pairing over Z_m, a^T J a = J mod m:
     one bool per matrix.  Both sides are antisymmetric, so this is the column
     pair condition sum_i (a[2i,l] a[2i+1,j] - a[2i,j] a[2i+1,l]) = J[l, j] mod m
-    for l < j, exact in int64: |sum| <= (d/2)(m-1)^2 < 2^62 under check_int64."""
-    l, j = np.triu_indices(a.shape[-1], 1)
-    a = a.astype(np.int64)
-    even, odd = a[..., 0::2, :], a[..., 1::2, :]
-    form = (even[..., l] * odd[..., j] - even[..., j] * odd[..., l]).sum(axis=-2) % m
-    return np.all(form == symplectic_form(a.shape[-1] // 2)[l, j] % m, axis=-1)
+    for l < j.  Every partial sum lies within +-(d/2)(m-1)^2, so it is exact
+    in the narrowest of int16, int32 and int64 that holds that (int64 holds
+    it under check_int64).  SYMPLECTIC_BLOCK matrices at a time are cast
+    into one entry-major buffer, where each entry's column is contiguous, and
+    the sums run on those columns in two more buffers, made once."""
+    d = a.shape[-1]
+    flat = a.reshape(-1, d * d)
+    n = len(flat)
+    dt = next(t for t in (np.int16, np.int32, np.int64)
+              if d // 2 * (m - 1) ** 2 <= np.iinfo(t).max)
+    form = (symplectic_form(d // 2) % m).tolist()
+    block = max(1, min(n, SYMPLECTIC_BLOCK))
+    cols = np.empty((d * d, block), dtype=dt)  # cols[r d + c, t]: entry (r, c) of matrix t
+    acc, term, hit = np.empty(block, dtype=dt), np.empty(block, dtype=dt), np.empty(block, bool)
+    ok = np.ones(n, dtype=bool)
+    for lo in range(0, n, block):
+        b = min(block, n - lo)
+        x = cols[:, :b]
+        np.copyto(x, flat[lo:lo + b].T, casting="unsafe")
+        x = x.reshape(d, d, b)
+        s, t = acc[:b], term[:b]
+        for l in range(d):
+            for j in range(l + 1, d):
+                np.multiply(x[0, l], x[1, j], out=s)
+                s -= np.multiply(x[0, j], x[1, l], out=t)
+                for i in range(2, d, 2):
+                    s += np.multiply(x[i, l], x[i + 1, j], out=t)
+                    s -= np.multiply(x[i, j], x[i + 1, l], out=t)
+                s %= m
+                ok[lo:lo + b] &= np.equal(s, form[l][j], out=hit[:b])
+    return ok.reshape(a.shape[:-2])
 
 
 def entry_dtype(m: int) -> str:

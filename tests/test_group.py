@@ -43,12 +43,13 @@ class TestGenerateGroup:
             rm.generate_group(rm.standard_generators(1, 7), cap=10)
         assert e.value.found == 10
 
-    @pytest.mark.parametrize("m,bad", [(13, [7]), (29, [9000, 5000])],
-                             ids=["one-chunk", "later-chunks"])
+    @pytest.mark.parametrize("m,bad", [(13, [7]), (29, [9000, 5000]), (61, [200_000, 70_000])],
+                             ids=["one-chunk", "later-chunks", "later-blocks"])
     def test_symplectic_check_names_first_bad_element(self, monkeypatch, m, bad):
         # the per-element check stays live: a closure that returns a
         # non-symplectic element (row 0 doubled) is refused, naming the least
-        # bad id, also past the first CHUNK of 4,096 (|Sp(2, Z_29)| = 24,360)
+        # bad id, also past the first 4,096 rows (|Sp(2, Z_29)| = 24,360) and
+        # past the first SYMPLECTIC_BLOCK of 2**16 (|Sp(2, Z_61)| = 226,920)
         real = kernels.closure
 
         def corrupt(*args):

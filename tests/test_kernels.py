@@ -6,6 +6,7 @@ stable argsort and np.unique."""
 
 import random
 from math import gcd
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 import reidemeister as rm
 from conftest import reference_closure, reference_ids, union_find_labels
-from reidemeister import kernels
+from reidemeister import kernels, modring
 from reidemeister.automorphisms import load_character_file
 from reidemeister.errors import CapacityError, IntegrityError, StructuralError
-from reidemeister.modring import entry_dtype
+from reidemeister.modring import entry_dtype, matmul_mod
 
 
 def _augmented(gens):
@@ -363,6 +364,70 @@ class TestActionTableSort:
         assert want[::7] == [-1] * len(want[::7]) and min(want[1:7]) >= 0
 
 
+class TestGemmCodes:
+    """modring.gemm_codes with _place's weights, the codes product_ids takes
+    from matmul_mod's GEMM blocks, against _codes of the same products by the
+    integer np.matmul route: equal where m**(d*d) <= 2**53, else None."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 9, 10, 13, 97, 127, 256]), st.sampled_from([2, 4, 6]),
+           st.sampled_from(["first", "middle", "last"]),
+           st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
+           st.integers(0, 2**32 - 1))
+    @example(9, 4, "middle", (1, 1), 0)  # 9**16 <= 2**53: coded in the block
+    @example(10, 4, "middle", (1, 1), 0)  # 10**16 > 2**53: None, product_ids takes _codes
+    def test_equal_to_codes_of_the_integer_route(self, m, d, where, length, seed):
+        # 0 rows, 1 row, or one GEMM block -1, exactly and +1
+        rng = np.random.default_rng(seed)
+        n = length[0] * (modring.GEMM_MACS // d**4) + length[1]
+        stack = rng.integers(0, m, (n, d, d)).astype(entry_dtype(m))
+        stack[:1] = m - 1  # the largest digits the bound must hold
+        left, right = (rng.integers(0, m, (d, d)) for _ in "lr")
+        factors = {"first": (stack, right), "middle": (left, stack, right),
+                   "last": (left, stack)}[where]
+        got = modring.gemm_codes(m, kernels._place(m, d * d), *factors)
+        if m ** (d * d) > 2**53:
+            assert got is None
+            return
+        with mock.patch.object(modring, "_gemm_stack", return_value=None):
+            want = kernels._codes(matmul_mod(m, *factors).reshape(n, d * d), m)
+        assert got.dtype == want.dtype == np.int64 and got.shape == (n,)
+        assert np.array_equal(got, want)
+
+    def test_action_table_takes_no_codes_pass(self, sp2_13, monkeypatch):
+        # a |G|-row table over Z_13 is coded inside the GEMM blocks; the codes
+        # of an element stack alone still take _codes
+        g = sp2_13
+        left, right = g.elements[5], g.elements[g.inverse_id(9)]
+        want = g.action_table(left, right)
+
+        def refuse(*_):
+            raise AssertionError("_codes on a GEMM-route product")
+
+        monkeypatch.setattr(kernels, "_codes", refuse)
+        assert np.array_equal(g.action_table(left, right), want)
+        with pytest.raises(AssertionError, match="_codes on"):
+            g.ids_of(g.elements[:3])
+
+
+@pytest.mark.parametrize("m", [2, 3, 97, 256, 257, 65537])
+@pytest.mark.parametrize("width", [4, 16])
+def test_small_stack_codes_equal_horners(m, width):
+    # up to CHUNK rows, one word and m <= 256: one integer matmul; else, and
+    # on the stack of 2 CHUNK + 1 rows, Horner's rule: the same codes
+    rng = np.random.default_rng(m * width)
+    flat = rng.integers(0, m, (2 * kernels.CHUNK + 1, width)).astype(entry_dtype(m))
+    flat[0], flat[kernels.CHUNK] = m - 1, 0
+    horner = kernels._codes(flat, m)
+    for n in (0, 1, kernels.CHUNK, kernels.CHUNK + 1):
+        got = kernels._codes(flat[:n], m)
+        assert got.dtype == horner.dtype and got.shape == (n,)
+        assert got.tobytes() == horner[:n].tobytes()
+    if m <= 256 and m**width < 2**63:  # one word: the number the digits spell in base m
+        for row, code in zip(flat[:5].tolist(), kernels._codes(flat[:5], m).tolist()):
+            assert code == sum(x * m ** (width - 1 - j) for j, x in enumerate(row))
+
+
 def test_products_of_no_ids(sp2_5):
     none = np.array([], dtype=np.int64)
     got = sp2_5.products(none, none)
@@ -591,6 +656,20 @@ def test_orbits_match_union_find(case):
     assert count == want_count
     assert labels.tolist() == want
     assert [t.tolist() for t in moves] == perms  # moves are not written to
+
+
+@pytest.mark.parametrize("moved", [0, 3, 4, 17, 18])
+def test_orbits_compare_moves_by_blocks(moved):
+    # image and label are compared a GATHER_BLOCK at a time: a move that
+    # changes labels only in its first, a middle or its last block still hooks
+    n = 19
+    move = np.arange(n)
+    move[moved], move[(moved + 1) % n] = (moved + 1) % n, moved
+    with mock.patch.object(kernels, "GATHER_BLOCK", 4):
+        labels, count = kernels.orbits([move], n)
+    want, want_count = union_find_labels(n, [(moved, (moved + 1) % n)])
+    assert count == want_count == n - 1
+    assert labels.tolist() == want
 
 
 def test_closure_ids_stop_at_int32_limit(monkeypatch):

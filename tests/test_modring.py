@@ -140,6 +140,14 @@ def _int_product(a, b, m):
     return [[sum(x * y for x, y in zip(row, col)) % m for col in zip(*b)] for row in a]
 
 
+def _transvection(v, m):
+    """x -> x + w(x, v) v over Z_m as a list-of-lists matrix: symplectic."""
+    d = len(v)
+    J = symplectic_form(d // 2).tolist()
+    jv = [sum(J[i][t] * v[t] for t in range(d)) for i in range(d)]
+    return [[(int(i == j) + v[i] * jv[j]) % m for j in range(d)] for i in range(d)]
+
+
 @st.composite
 def symplectic_stacks(draw):
     """(m, d, mats): d in {2, 4, 6}, m prime, composite or the largest modulus
@@ -148,17 +156,12 @@ def symplectic_stacks(draw):
     ints) and others (random matrices, members with one entry moved)."""
     d = draw(st.sampled_from([2, 4, 6]))
     m = draw(st.sampled_from([2, 3, 97, 1009, 4, 12, 100, _largest_modulus(d)]))
-    J = symplectic_form(d // 2).tolist()
     vector = st.lists(st.integers(0, m - 1), min_size=d, max_size=d)
-
-    def transvection(v):
-        jv = [sum(J[i][t] * v[t] for t in range(d)) for i in range(d)]
-        return [[(int(i == j) + v[i] * jv[j]) % m for j in range(d)] for i in range(d)]
 
     def member():
         a = [[int(i == j) for j in range(d)] for i in range(d)]
         for v in draw(st.lists(vector, min_size=1, max_size=3)):
-            a = _int_product(a, transvection(v), m)
+            a = _int_product(a, _transvection(v, m), m)
         return a
 
     mats = []
@@ -198,6 +201,59 @@ class TestSymplectic:
         got = rm.is_symplectic(stack, m)
         assert got.shape == stack.shape[:-2]
         assert got.ravel().tolist() == [_preserves_form(a, m) for a in mats]
+
+    @pytest.mark.parametrize("d,m,dtype", [
+        (2, 182, np.int16), (2, 183, np.int32),  # (m - 1)^2: 32,761 and 33,124
+        (2, 46341, np.int32), (2, 46342, np.int64),  # 2,147,395,600 and 2,147,488,281
+        (4, 128, np.int16), (4, 129, np.int32),  # 2 (m - 1)^2: 32,258 and 2^15
+        (4, 32768, np.int32), (4, 32769, np.int64),  # 2,147,352,578 and 2^31
+    ])
+    def test_exact_at_each_dtype_bound(self, d, m, dtype):
+        # the sums run in the narrowest signed dtype holding (d/2)(m - 1)^2;
+        # on each side of each bound the answers match the definition, on
+        # members and others whose sums reach that bound
+        bound = d // 2 * (m - 1) ** 2
+        assert next(t for t in (np.int16, np.int32, np.int64)
+                    if bound <= np.iinfo(t).max) is dtype
+        rng = random.Random(m)
+        top = m - 1
+        # -I and a triangular member: column pair sums (m - 1)^2, each 1 mod m
+        blocks = [[[top, 0], [0, top]], [[top, top], [0, top]]]
+        mats = [[[b[i % 2][j % 2] if i // 2 == j // 2 else 0 for j in range(d)]
+                 for i in range(d)] for b in blocks]
+        for _ in range(6):  # products of three random transvections
+            a = [[int(i == j) for j in range(d)] for i in range(d)]
+            for _ in range(3):
+                a = _int_product(a, _transvection([rng.randrange(m) for _ in range(d)], m), m)
+            mats.append(a)
+        others = [[row[:] for row in a] for a in mats]
+        for a in others:  # one entry moved
+            i, j = rng.randrange(d), rng.randrange(d)
+            a[i][j] = (a[i][j] + 1) % m
+        others.append([[top] * d for _ in range(d)])  # every column pair sums to 0
+        # columns 0 and 1 of every row pair at m - 1: the sum (d/2)(m - 1)^2
+        others.append([[top if j == i % 2 else 0 for j in range(d)] for i in range(d)])
+        mats += others
+        want = [_preserves_form(a, m) for a in mats]
+        assert want[:8] == [True] * 8 and not all(want)
+        for dt in (np.int64, entry_dtype(m)):
+            assert rm.is_symplectic(np.array(mats, dtype=dt), m).tolist() == want
+
+    def test_sum_over_row_pairs_past_int16(self):
+        # a member of Sp(4, Z_182) whose column pair (0, 1) sums to
+        # 181^2 + 91 * 180 = 49,141 > 2^15: each row pair's term fits int16,
+        # the sum over both does not, so the bound needs its factor d/2
+        a = [[181, 0, 180, 0], [0, 181, 0, 91], [91, 0, 1, 0], [0, 180, 0, 1]]
+        assert _preserves_form(a, 182)
+        assert rm.is_symplectic(np.array(a, dtype=np.uint8), 182)
+
+    def test_blocks(self, monkeypatch):
+        # a stack past one block, with members and others in every block
+        gens = np.stack([g.entries for g in rm.standard_generators(2, 5)])
+        stack = gens[np.arange(23) % len(gens)]
+        stack[::4] = 2 * stack[::4] % 5
+        monkeypatch.setattr(modring, "SYMPLECTIC_BLOCK", 5)
+        assert rm.is_symplectic(stack, 5).tolist() == [i % 4 != 0 for i in range(23)]
 
     def test_identity(self):
         assert rm.is_symplectic(rm.ModMatrix.identity(4, 5).entries, 5)
